@@ -146,7 +146,7 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
 }
 
-_STOCHASTIC = {"qcd-code", "rotor"}
+_STOCHASTIC = {"qcd-code"}
 
 
 def config_schema() -> dict:
@@ -172,6 +172,11 @@ def _schema_diags(config: dict) -> list[str]:
                      "at encode time by design)")
     if exp == "xsec" and p["e_cm_min"] > p["e_cm_max"]:
         diags.append("e_cm_min must not exceed e_cm_max")
+    if exp == "rotor":
+        for q in p["logical_charges"]:
+            if abs(q) + p["w"] > p["q_max"]:
+                diags.append(f"rotor window w={p['w']} around logical charge {q} "
+                             f"exceeds q_max={p['q_max']} (needs |q| + w <= q_max)")
     return diags
 
 

@@ -443,30 +443,45 @@ def binomial_tail(n: int, p: float) -> float:
                for j in range(t, n + 1))
 
 
-def _trial_flips(seed: int, trial: int, n: int, p: float) -> np.ndarray:
-    rng = np.random.Generator(np.random.Philox(key=[seed, trial]))
-    return rng.random(n) < p
+# Flip draws per Monte Carlo block; bounds the bytes one block allocates.
+BLOCK_BITS = 2 ** 15
 
 
-def _decode_failure(flips: np.ndarray) -> bool:
-    """Run the syndrome + majority decode on a classical flip pattern."""
-    n = flips.shape[0]
-    signs = 1 - 2 * flips.astype(int)
-    syndrome = signs[:-1] * signs[1:]
-    chain = np.empty(n, dtype=int)
-    chain[0] = 1
-    np.cumprod(syndrome, out=chain[1:])
+def _block_rows(n: int) -> int:
+    return max(1, BLOCK_BITS // n)
+
+
+def _block_flips(seed: int, block: int, rows: int, n: int, p: float) -> np.ndarray:
+    """Flip patterns of one block, shape (rows, n), from the (seed, block) stream.
+
+    Rows are filled in order, so a partial block's rows equal the leading
+    rows of the full block.
+    """
+    rng = np.random.Generator(np.random.Philox(key=[seed, block]))
+    return rng.random((rows, n)) < p
+
+
+def _decode_failures(flips: np.ndarray) -> np.ndarray:
+    """Per-row failure of the syndrome + majority decode on a (rows, n) block."""
+    n = flips.shape[1]
+    signs = 1 - 2 * flips.astype(np.int8)
+    syndrome = signs[:, :-1] * signs[:, 1:]
+    chain = np.ones(flips.shape, dtype=np.int8)
+    np.cumprod(syndrome, axis=1, out=chain[:, 1:])
     minus = chain == -1
-    correction = minus if int(minus.sum()) <= n // 2 else ~minus
+    keep = minus.sum(axis=1, keepdims=True) <= n // 2
+    correction = np.where(keep, minus, ~minus)
     residual = flips ^ correction
-    return bool(residual.all())
+    return residual.all(axis=1)
 
 
-def _count_failures(seed: int, n: int, p: float, start: int, stop: int) -> int:
+def _count_failures(seed: int, n: int, p: float, trials: int,
+                    blocks: range) -> int:
+    rows = _block_rows(n)
     failures = 0
-    for trial in range(start, stop):
-        if _decode_failure(_trial_flips(seed, trial, n, p)):
-            failures += 1
+    for b in blocks:
+        k = min(rows, trials - b * rows)
+        failures += int(_decode_failures(_block_flips(seed, b, k, n, p)).sum())
     return failures
 
 
@@ -474,8 +489,10 @@ def logical_error_rate(n: int, p: float, trials: int, seed: int,
                        workers: int = 1) -> tuple[float, float]:
     """Monte Carlo failure frequency of the full syndrome+decode cycle.
 
-    Per-trial randomness is a counter-based stream keyed by (seed, trial),
-    so the estimate is bitwise independent of chunking and worker count.
+    Trials run in blocks of max(1, BLOCK_BITS // n) rows, so a block holds
+    about BLOCK_BITS flip draws at any n.  Block b draws from a
+    counter-based Philox stream keyed by (seed, b), and workers take whole
+    blocks, so the estimate is bitwise independent of the worker count.
     Returns (estimate, binomial standard error).
     """
     if n < 1 or n % 2 == 0:
@@ -484,17 +501,19 @@ def logical_error_rate(n: int, p: float, trials: int, seed: int,
         raise ValueError("p must lie in (0, 1)")
     if trials < 1:
         raise ValueError("trials must be positive")
-    workers = max(1, int(workers))
+    rows = _block_rows(n)
+    n_blocks = (trials + rows - 1) // rows
+    workers = min(max(1, int(workers)), n_blocks)
     if workers == 1:
-        failures = _count_failures(seed, n, p, 0, trials)
+        failures = _count_failures(seed, n, p, trials, range(n_blocks))
     else:
         from concurrent.futures import ThreadPoolExecutor
 
-        chunk = (trials + workers - 1) // workers
-        ranges = [(c, min(c + chunk, trials)) for c in range(0, trials, chunk)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             failures = sum(pool.map(
-                lambda r: _count_failures(seed, n, p, r[0], r[1]), ranges))
+                lambda w: _count_failures(seed, n, p, trials,
+                                          range(w, n_blocks, workers)),
+                range(workers)))
     est = failures / trials
     stderr = math.sqrt(max(est * (1 - est), 1e-300) / trials)
     return est, stderr

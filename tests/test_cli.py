@@ -24,6 +24,15 @@ def qcd_config(**overrides):
     return cfg
 
 
+def rotor_config(**overrides):
+    cfg = {"experiment": "rotor",
+           "params": {"q_max": 4, "w": 1, "profile": "uniform",
+                      "logical_charges": [0, 1], "error_side": "B",
+                      "error_charges": [1]}}
+    cfg["params"].update(overrides)
+    return cfg
+
+
 class TestValidate:
     def test_valid_config_no_diagnostics(self):
         assert cli.validate(qcd_config()) == []
@@ -42,6 +51,11 @@ class TestValidate:
         cfg = qcd_config()
         del cfg["seed"]
         assert any("seed" in d for d in cli.validate(cfg))
+
+    def test_rotor_window_overflow_rejected(self):
+        diags = cli.validate(rotor_config(q_max=2, w=2, logical_charges=[0, 1]))
+        assert len(diags) == 1 and "charge 1" in diags[0]
+        assert cli.validate(rotor_config(q_max=2, w=1, logical_charges=[-1, 1])) == []
 
     def test_toric_guard_diagnostic(self):
         cfg = {"experiment": "toric", "params": {"n": 3, "l": 3}}
@@ -101,6 +115,12 @@ class TestRun:
         assert rows
         for row in rows:
             assert float(row.split(",")[2]) == pytest.approx(1.0, abs=1e-10)
+
+    def test_rotor_runs_without_seed(self, tmp_path):
+        cfg = rotor_config()
+        assert cli.validate(cfg) == []
+        cli.run(cfg, str(tmp_path))
+        assert (tmp_path / "rotor_recovery.csv").exists()
 
     def test_xsec_experiment_threshold_column(self, tmp_path):
         cfg = {"experiment": "xsec",
@@ -168,6 +188,13 @@ class TestMainExitCodes:
         assert cli.main(["validate", str(cfg)]) == 0
         bad = write_config(tmp_path, qcd_config(n=4), "bad.json")
         assert cli.main(["validate", str(bad)]) == cli.EXIT_SCHEMA
+
+    def test_rotor_window_overflow_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, rotor_config(q_max=2, w=3))
+        assert cli.main(["validate", str(cfg)]) == cli.EXIT_SCHEMA
+        assert cli.main(["run", str(cfg), "--output-dir",
+                         str(tmp_path / "o")]) == cli.EXIT_SCHEMA
+        assert not (tmp_path / "o").exists()
 
     def test_schema_subcommand(self, capsys):
         assert cli.main(["schema"]) == 0

@@ -5,7 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from ssrqec import qcdcode
 from ssrqec.hilbert import DensityMatrix, partial_trace
 from ssrqec.klcore import CodeSpace, ErrorSet, kl_check
 from ssrqec.hilbert import Operator, ProductSpace, basis_state
@@ -391,3 +395,81 @@ class TestMonteCarlo:
             logical_error_rate(3, 0.0, 10, seed=0)
         with pytest.raises(ValueError):
             logical_error_rate(3, 0.1, 0, seed=0)
+
+
+def decode_failure_oracle(flips):
+    """Per-pattern syndrome + majority decode, one flip pattern at a time."""
+    n = flips.shape[0]
+    signs = 1 - 2 * flips.astype(int)
+    syndrome = signs[:-1] * signs[1:]
+    chain = np.empty(n, dtype=int)
+    chain[0] = 1
+    np.cumprod(syndrome, out=chain[1:])
+    minus = chain == -1
+    correction = minus if int(minus.sum()) <= n // 2 else ~minus
+    residual = flips ^ correction
+    return bool(residual.all())
+
+
+@st.composite
+def flip_blocks(draw):
+    rows = draw(st.integers(1, 40))
+    n = 2 * draw(st.integers(0, 20)) + 1
+    return draw(arrays(np.bool_, (rows, n)))
+
+
+class TestBlockDecoder:
+    @settings(max_examples=200, deadline=None)
+    @given(flip_blocks())
+    def test_matches_per_pattern_oracle(self, flips):
+        got = qcdcode._decode_failures(flips)
+        assert got.tolist() == [decode_failure_oracle(row) for row in flips]
+
+    @settings(max_examples=200, deadline=None)
+    @given(flip_blocks())
+    def test_matches_majority_closed_form(self, flips):
+        n = flips.shape[1]
+        got = qcdcode._decode_failures(flips)
+        assert np.array_equal(got, flips.sum(axis=1) > n // 2)
+
+
+class TestBlockBoundaries:
+    @staticmethod
+    def across_workers(n, p, trials, seed):
+        results = {logical_error_rate(n, p, trials, seed=seed, workers=w)
+                   for w in (1, 2, 8)}
+        assert len(results) == 1
+        return results.pop()
+
+    def test_partial_last_block(self):
+        n = 5
+        rows = qcdcode._block_rows(n)
+        trials = 2 * rows + 17
+        est, _ = self.across_workers(n, 0.2, trials, seed=11)
+        failures = sum(
+            int(qcdcode._decode_failures(
+                qcdcode._block_flips(11, b, min(rows, trials - b * rows),
+                                     n, 0.2)).sum())
+            for b in range(3))
+        assert est == failures / trials
+
+    def test_more_workers_than_blocks(self):
+        n = 3
+        assert 100 < qcdcode._block_rows(n)
+        self.across_workers(n, 0.3, 100, seed=5)
+
+    def test_one_trial_per_block(self):
+        n = qcdcode.BLOCK_BITS + 1
+        assert qcdcode._block_rows(n) == 1
+        est, _ = self.across_workers(n, 0.5, 5, seed=2)
+        want = sum(int(qcdcode._block_flips(2, b, 1, n, 0.5).sum() > n // 2)
+                   for b in range(5))
+        assert est == want / 5
+
+    @pytest.mark.parametrize("k", [1, 17, 1000])
+    def test_leading_trials_independent_of_trial_count(self, k):
+        n, p, seed = 7, 0.3, 21
+        full = qcdcode._block_flips(seed, 0, qcdcode._block_rows(n), n, p)
+        assert np.array_equal(qcdcode._block_flips(seed, 0, k, n, p), full[:k])
+        est, _ = logical_error_rate(n, p, k, seed=seed)
+        assert est == qcdcode._decode_failures(full[:k]).sum() / k
