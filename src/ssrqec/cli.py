@@ -181,14 +181,13 @@ def _schema_diags(config: dict) -> list[str]:
 
 
 def _guard_diags(config: dict) -> list[str]:
-    diags = []
     p = config["params"]
     if config["experiment"] == "toric":
-        dim = p["n"] ** (2 * p["l"] ** 2)
-        if dim > toriccode.DESK_GUARD_DIM:
-            diags.append(f"guard: toric dimension N^(2 l^2) = {dim} exceeds the "
-                         f"2^20 desk-scale limit")
-    return diags
+        refusal = toriccode.kl_guard(toriccode.TorusLattice(p["l"], p["n"]),
+                                     p.get("max_weight", 1))
+        if refusal:
+            return [f"guard: {refusal}"]
+    return []
 
 
 def validate(config: dict) -> list[str]:
@@ -312,16 +311,15 @@ def _run_xsec(params: dict, outdir: Path, seed: Optional[int]) -> tuple[list, li
 
 def _run_toric(params: dict, outdir: Path, seed: Optional[int]) -> tuple[list, list]:
     lat = toriccode.TorusLattice(params["l"], params["n"])
-    gs = toriccode.sector_basis(toriccode.ground_space(lat))
     rows = [[a, b, _fmt_complex(np.exp(2j * np.pi * a / lat.n)),
              _fmt_complex(np.exp(2j * np.pi * b / lat.n))]
-            for (a, b) in gs.sector_labels]
+            for (a, b) in toriccode.sector_labels(lat)]
     sector_path = outdir / "sectors.csv"
     _write_csv(sector_path, ["charge_a", "charge_b",
                              "wilson_electric_eigenvalue",
                              "wilson_magnetic_eigenvalue"], rows)
     report = toriccode.kl_check_toric(lat, params.get("max_weight", 1),
-                                      params.get("tol", 1e-9), gs=gs)
+                                      params.get("tol", 1e-9))
     report_path = outdir / "kl_report.json"
     report_path.write_text(
         json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n",

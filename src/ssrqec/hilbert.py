@@ -94,9 +94,6 @@ class StateVector:
             raise NormalizationError("cannot normalize the zero vector")
         return StateVector(self.space, self.amplitudes / n)
 
-    def dagger_apply(self, other: "StateVector") -> complex:
-        return inner(self, other)
-
 
 def basis_state(space: ProductSpace, index: int) -> StateVector:
     amps = np.zeros(space.dim, dtype=np.complex128)

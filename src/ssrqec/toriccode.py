@@ -1,10 +1,26 @@
-"""Z_n toric code on a small torus: sectors, Wilson loops, KL brute force.
+"""Z_N toric code on a small torus: sectors, Wilson loops, exact KL checks.
 
 Qudit Paulis are kept symbolic (X/Z power vectors over edges plus a phase
-exponent of e^{i pi / N}) so that commutation phases, products and
-stabilizer-membership questions are answered by mod-N arithmetic; numeric
-application to state vectors is a single permutation-plus-phase pass, so
-the 2^18-dimensional (N=2, l=3) lattice stays tractable.
+exponent of e^{i pi / N}), one at a time as ``QuditPauli`` or as rows of a
+``PauliArray``.  Commutation phases, products and logical classes are
+answered by mod-N arithmetic on int arrays, so the KL check
+``kl_check_toric`` builds no state vector: a pair product E_b^dag E_a that
+fails to commute with a stabilizer has a zero block; one that commutes is
+e^{i pi phi / N} times a stabilizer times a product of Wilson loops, and
+acts on the sector basis |a, b> as a known monomial matrix of N-th roots of
+unity.  Its working set is a few (E, E, N^2, N^2) complex arrays, checked
+against ``KL_MEMORY_BUDGET`` before anything is allocated.
+
+The sector basis has a fixed phase convention.  |0, 0> is the uniform sum
+over the orbit of |0...0> under the X-stabilizers and the x-winding
+magnetic loop; |a, b> = M_y^a E_y^{-b} |0, 0>, where M_y (E_y) is the
+y-winding magnetic (electric) loop.  Then the x-winding electric loop
+acts as w^a and the x-winding magnetic loop as w^b, with w = e^{2 pi i / N}.
+
+The dense state-vector code (``ground_space``, ``sector_basis``,
+``apply_pauli``, ``kl_check_paulis``) builds these states explicitly and
+stays as the test oracle for small lattices (dimension N^(2 l^2) <=
+``DESK_GUARD_DIM``).
 
 Edge orientation convention: horizontal edges point +x, vertical +y.
 Stars put X on outgoing and X^{-1} on incoming edges; plaquettes put
@@ -14,19 +30,29 @@ recovered.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
 from . import klcore
-from .hilbert import ProductSpace, StateVector
+from .hilbert import ProductSpace
 from .klcore import KLReport
 
 DESK_GUARD_DIM = 2 ** 20
 DEFAULT_ERROR_CAP = 10_000
+MAX_ENUM_WEIGHT = 2
+# Bytes the symbolic KL check may hold at once.  Its peak is about three
+# (E, E, N^2, N^2) complex arrays: M and, in report_from_elements, the
+# scalar part and the deviation.
+KL_MEMORY_BUDGET = 2 ** 30
+KL_WORKING_SET_ARRAYS = 3
+# Bytes of one chunk of enumerated error rows in ssr_exact_zero_check.
+SSR_CHUNK_BYTES = 2 ** 24
 
 
 class GuardExceededError(RuntimeError):
@@ -142,6 +168,56 @@ def commutation_exponent(a: QuditPauli, b: QuditPauli) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Pauli sets as int arrays
+
+
+@dataclass(frozen=True, eq=False)
+class PauliArray(Sequence):
+    """E qudit Paulis as rows of ``xz`` = (x powers | z powers), (E, 2 n_edges).
+
+    ``phase`` holds the E phase exponents of e^{i pi / N}.  Indexing or
+    iterating yields ``QuditPauli`` objects; bulk algebra works on the
+    arrays directly.
+    """
+
+    xz: np.ndarray
+    phase: np.ndarray
+    n: int
+
+    @classmethod
+    def of(cls, paulis: Sequence[QuditPauli], n: int) -> "PauliArray":
+        xz = np.array([p.x_powers + p.z_powers for p in paulis], dtype=np.int64)
+        phase = np.array([p.phase for p in paulis], dtype=np.int64)
+        return cls(xz.reshape(len(paulis), -1), phase, n)
+
+    def __len__(self) -> int:
+        return self.xz.shape[0]
+
+    def __getitem__(self, i: int) -> QuditPauli:
+        row = self.xz[i]
+        half = row.size // 2
+        return QuditPauli(tuple(row[:half]), tuple(row[half:]), self.n,
+                          int(self.phase[i]))
+
+
+def commutation_exponents(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """c[i, j] with a_i b_j = w^c b_j a_i, for xz rows a and b; one matmul mod N."""
+    half = b.shape[1] // 2
+    return (a @ np.concatenate([-b[:, half:], b[:, :half]], axis=1).T) % n
+
+
+def pair_phases(errors: PauliArray) -> np.ndarray:
+    """phi[a, b] mod 2N, where E_b^dag E_a = e^{i pi phi / N} X^(x_a - x_b)
+    Z^(z_a - z_b) and phi = p_a - p_b + 2 z_b . (x_b - x_a)."""
+    half = errors.xz.shape[1] // 2
+    x, z = errors.xz[:, :half], errors.xz[:, half:]
+    zx = z @ x.T                                    # zx[b, a] = z_b . x_a
+    p = errors.phase
+    return (p[:, None] - p[None, :] + 2 * (np.diag(zx)[None, :] - zx.T)) \
+        % (2 * errors.n)
+
+
+# ---------------------------------------------------------------------------
 # Numeric application
 
 
@@ -234,51 +310,32 @@ class GroundSpace:
     def dimension(self) -> int:
         return self.basis.shape[1]
 
-    def states(self) -> list[StateVector]:
-        space = self.lattice.space()
-        return [StateVector(space, self.basis[:, i])
-                for i in range(self.dimension)]
 
+def ground_space(lat: TorusLattice) -> GroundSpace:
+    """The sector basis |a, b> as explicit CSS coset states.
 
-def _project_stabilizer(lat: TorusLattice, s: QuditPauli, vec: np.ndarray
-                        ) -> np.ndarray:
-    acc = vec.copy()
-    term = vec
-    for _ in range(lat.n - 1):
-        term = apply_pauli(lat, s, term)
-        acc += term
-    return acc / lat.n
-
-
-def ground_space(lat: TorusLattice, seed: int = 12345) -> GroundSpace:
-    """Ground-space basis by projector iteration on seeded random vectors."""
+    |0, 0> sums |x> uniformly over the orbit of |0...0> under the group
+    generated by l^2 - 1 independent stars and the x-winding magnetic loop
+    (the X-stabilizer cosets of M_x^b |0...0>); the other states follow by
+    applying the y-winding loops, as in the module docstring.
+    """
     if lat.dim > DESK_GUARD_DIM:
         raise GuardExceededError(
             f"dimension {lat.dim} exceeds desk-scale guard {DESK_GUARD_DIM}")
-    stabs = build_stabilizers(lat)
-    expected = lat.n ** 2
-    rng = np.random.default_rng(seed)
-    collected = []
-    attempts = 0
-    while len(collected) < expected and attempts < 4 * expected:
-        attempts += 1
-        v = rng.normal(size=lat.dim) + 1j * rng.normal(size=lat.dim)
-        for s in stabs:
-            v = _project_stabilizer(lat, s, v)
-        nrm = np.linalg.norm(v)
-        if nrm < 1e-10:
-            continue
-        v = v / nrm
-        for u in collected:
-            v = v - u * np.vdot(u, v)
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-8:
-            collected.append(v / nrm)
-    if len(collected) != expected:
-        raise RuntimeError(
-            f"ground-space dimension {len(collected)} != expected N^2 = {expected}")
-    basis = np.column_stack(collected)
-    return GroundSpace(lat, basis)
+    n, l2 = lat.n, lat.l * lat.l
+    gens = PauliArray.of(build_stabilizers(lat)[:l2 - 1]
+                         + [wilson_loop(lat, "x", 1, "magnetic")], n).xz
+    gens = gens[:, :lat.n_edges]
+    coeffs = np.indices((n,) * l2).reshape(l2, -1).T
+    orbit = (coeffs @ gens) % n                         # N^(l^2) distinct x vectors
+    vacuum = np.zeros(lat.dim, dtype=np.complex128)
+    vacuum[orbit @ n ** np.arange(lat.n_edges - 1, -1, -1)] = n ** (-l2 / 2)
+    labels = sector_labels(lat)
+    basis = np.column_stack([
+        apply_pauli(lat, pauli_mul(wilson_loop(lat, "y", a, "magnetic"),
+                                   wilson_loop(lat, "y", -b, "electric")), vacuum)
+        for a, b in labels])
+    return GroundSpace(lat, basis, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +376,24 @@ def wilson_loop(lat: TorusLattice, cycle: str, charge: int,
     return QuditPauli(tuple(xs), tuple(zs), lat.n)
 
 
+def _logical_probes(lat: TorusLattice) -> np.ndarray:
+    """Rows whose commutation exponents with an undetected Pauli are its
+    logical powers (gamma, delta, alpha, beta): its X part is a stabilizer
+    times M_y^alpha M_x^beta and its Z part a stabilizer times
+    E_x^gamma E_y^delta, for the charge-1 loops M_y, M_x, E_x, E_y.
+    """
+    probes = [wilson_loop(lat, "y", 1, "magnetic"),
+              wilson_loop(lat, "x", 1, "magnetic"),
+              wilson_loop(lat, "x", -1, "electric"),
+              wilson_loop(lat, "y", -1, "electric")]
+    return PauliArray.of(probes, lat.n).xz
+
+
+def sector_labels(lat: TorusLattice) -> tuple[tuple[int, int], ...]:
+    """(a, b) of each sector-basis state, in basis order a * N + b."""
+    return tuple((a, b) for a in range(lat.n) for b in range(lat.n))
+
+
 def _root_label(value: complex, n: int) -> int:
     ang = np.angle(value) % (2 * np.pi)
     a = int(round(ang * n / (2 * np.pi))) % n
@@ -332,7 +407,8 @@ def sector_basis(gs: GroundSpace) -> GroundSpace:
 
     The electric and magnetic loops winding in x act within the ground
     space and commute (disjoint supports); their joint eigenvalues
-    (w^a, w^b) label the N^2 sectors exactly once.
+    (w^a, w^b) label the N^2 sectors exactly once.  The phases of the
+    returned states are whatever the eigensolver returns.
     """
     lat = gs.lattice
     n = lat.n
@@ -366,63 +442,136 @@ def sector_basis(gs: GroundSpace) -> GroundSpace:
 
 
 # ---------------------------------------------------------------------------
-# Error enumeration and KL check
+# Error enumeration
+
+
+def error_count(lat: TorusLattice, max_weight: int) -> int:
+    """Paulis of weight <= max_weight, identity included, in closed form."""
+    return sum(math.comb(lat.n_edges, j) * (lat.n ** 2 - 1) ** j
+               for j in range(max_weight + 1))
+
+
+def _weight_chunks(lat: TorusLattice, weight: int, max_rows: int
+                   ) -> Iterator[np.ndarray]:
+    """xz rows of every Pauli of exactly ``weight``, in chunks.
+
+    Order: supports in lexicographic order, then the non-identity
+    single-qudit factors (x, z) of each support edge, x-major.  A chunk
+    holds whole supports and at most ``max_rows`` rows unless a single
+    support has more.
+    """
+    n, m = lat.n, lat.n_edges
+    singles = np.array([(x, z) for x in range(n) for z in range(n)
+                        if (x, z) != (0, 0)], dtype=np.int64)
+    factors = np.array(list(itertools.product(range(len(singles)), repeat=weight)),
+                       dtype=np.intp)                   # (A, weight)
+    supports = itertools.combinations(range(m), weight)
+    per_chunk = max(1, max_rows // len(factors))
+    while True:
+        sup = np.array(list(itertools.islice(supports, per_chunk)), dtype=np.intp)
+        if sup.size == 0:
+            return
+        rows = np.zeros((len(sup), len(factors), 2 * m), dtype=np.int64)
+        s_idx = np.arange(len(sup))[:, None]
+        f_idx = np.arange(len(factors))[None, :]
+        for k in range(weight):
+            edge = sup[:, k][:, None]
+            xz = singles[factors[:, k]]
+            rows[s_idx, f_idx, edge] = xz[:, 0]
+            rows[s_idx, f_idx, m + edge] = xz[:, 1]
+        yield rows.reshape(-1, 2 * m)
+
+
+def _enumeration_refusal(lat: TorusLattice, max_weight: int,
+                         cap: int) -> Optional[str]:
+    if max_weight > MAX_ENUM_WEIGHT:
+        return f"error enumeration capped at weight {MAX_ENUM_WEIGHT}"
+    count = error_count(lat, max_weight)
+    if count > cap:
+        return f"error count {count} exceeds cap {cap}"
+    return None
 
 
 def enumerate_pauli_errors(lat: TorusLattice, max_weight: int,
-                           cap: int = DEFAULT_ERROR_CAP) -> list[QuditPauli]:
-    """Identity plus all qudit Paulis of weight <= max_weight."""
+                           cap: int = DEFAULT_ERROR_CAP) -> PauliArray:
+    """Identity plus all qudit Paulis of weight <= max_weight, phase 0."""
     if max_weight < 1:
         raise ValueError("max_weight must be >= 1")
-    if max_weight > 2:
-        raise GuardExceededError("error enumeration capped at weight 2")
-    n = lat.n
-    singles = [(x, z) for x in range(n) for z in range(n) if (x, z) != (0, 0)]
-    errors: list[QuditPauli] = [pauli_identity(lat.n_edges, n)]
-    for e in range(lat.n_edges):
-        for x, z in singles:
-            errors.append(single_qudit_pauli(lat, e, x, z))
-    if max_weight >= 2:
-        for e1 in range(lat.n_edges):
-            for e2 in range(e1 + 1, lat.n_edges):
-                for x1, z1 in singles:
-                    for x2, z2 in singles:
-                        errors.append(pauli_mul(
-                            single_qudit_pauli(lat, e1, x1, z1),
-                            single_qudit_pauli(lat, e2, x2, z2)))
-                        if len(errors) > cap:
-                            raise GuardExceededError(
-                                f"error count exceeds cap {cap}")
-    if len(errors) > cap:
-        raise GuardExceededError(f"error count {len(errors)} exceeds cap {cap}")
-    return errors
+    refusal = _enumeration_refusal(lat, max_weight, cap)
+    if refusal:
+        raise GuardExceededError(refusal)
+    count = error_count(lat, max_weight)
+    xz = np.vstack([np.zeros((1, 2 * lat.n_edges), dtype=np.int64)]
+                   + [rows for w in range(1, max_weight + 1)
+                      for rows in _weight_chunks(lat, w, count)])
+    return PauliArray(xz, np.zeros(count, dtype=np.int64), lat.n)
+
+
+# ---------------------------------------------------------------------------
+# KL checks
 
 
 def kl_check_paulis(gs: GroundSpace, errors: Sequence[QuditPauli],
                     tol: float = 1e-9) -> KLReport:
-    """KL check of a symbolic error set against the (sector) ground basis."""
-    lat = gs.lattice
-    b = gs.basis
-    k = b.shape[1]
-    n_err = len(errors)
-    flat = np.empty((n_err * k, b.shape[0]), dtype=np.complex128)
+    """Dense KL check of a symbolic error set against a ground-space basis."""
+    lat, b = gs.lattice, gs.basis
+    applied = np.empty((len(errors),) + b.shape, dtype=np.complex128)
     for a, p in enumerate(errors):
-        flat[a * k:(a + 1) * k] = apply_pauli(lat, p, b).T
-    gram = flat @ flat.conj().T
-    m = gram.reshape(n_err, k, n_err, k).transpose(0, 2, 1, 3)
-    return klcore.report_from_elements(np.ascontiguousarray(m), tol)
+        applied[a] = apply_pauli(lat, p, b)
+    return klcore.kl_check_from_applied(applied, tol)
+
+
+def kl_elements(lat: TorusLattice, errors: PauliArray) -> np.ndarray:
+    """M[a, b, i, j] = <j| E_b^dag E_a |i> on the sector basis, exactly.
+
+    i and j index the sector basis in ``sector_labels`` order.  Since
+    commutation exponents are linear in xz, P_ab commutes with every
+    stabilizer iff E_a and E_b have the same syndrome, and its logical
+    powers (gamma, delta, alpha, beta) are differences of theirs.  Then
+    P_ab |s, t> = e^{i pi phi / N} w^(gamma s + beta (t - delta))
+    |s + alpha, t - delta>.
+    """
+    n, k = lat.n, lat.n * lat.n
+    stabs = PauliArray.of(build_stabilizers(lat), n).xz
+    syndrome = commutation_exponents(errors.xz, stabs, n)
+    _, cls = np.unique(syndrome, axis=0, return_inverse=True)
+    cls = cls.reshape(-1)
+    ea, eb = np.nonzero(cls[:, None] == cls[None, :])   # undetected pairs
+    logical = commutation_exponents(errors.xz, _logical_probes(lat), n)
+    gamma, delta, alpha, beta = ((logical[ea] - logical[eb]) % n).T[:, :, None]
+    phi = pair_phases(errors)[ea, eb][:, None]
+    s, t = np.divmod(np.arange(k), n)
+    expo = (phi + 2 * (gamma * s + beta * (t - delta))) % (2 * n)
+    target = ((s + alpha) % n) * n + (t - delta) % n
+    m = np.zeros((len(errors), len(errors), k, k), dtype=np.complex128)
+    m[ea[:, None], eb[:, None], np.arange(k), target] = \
+        np.exp(1j * np.pi * np.arange(2 * n) / n)[expo]
+    return m
+
+
+def kl_guard(lat: TorusLattice, max_weight: int,
+             cap: int = DEFAULT_ERROR_CAP) -> Optional[str]:
+    """Why ``kl_check_toric`` would refuse this size, or None if it fits."""
+    refusal = _enumeration_refusal(lat, max_weight, cap)
+    if refusal:
+        return refusal
+    count = error_count(lat, max_weight)
+    need = KL_WORKING_SET_ARRAYS * 16 * (count * lat.n ** 2) ** 2
+    if need > KL_MEMORY_BUDGET:
+        return (f"KL working set {need / 2 ** 20:.0f} MiB ({count} errors, "
+                f"{lat.n ** 2} sectors) exceeds the "
+                f"{KL_MEMORY_BUDGET / 2 ** 20:.0f} MiB budget")
+    return None
 
 
 def kl_check_toric(lat: TorusLattice, max_weight: int, tol: float = 1e-9,
-                   cap: int = DEFAULT_ERROR_CAP,
-                   gs: Optional[GroundSpace] = None) -> KLReport:
-    """Enumerate weight-bounded Pauli errors and run the KL check."""
-    if gs is None:
-        gs = sector_basis(ground_space(lat))
-    elif gs.sector_labels is None:
-        gs = sector_basis(gs)
-    errors = enumerate_pauli_errors(lat, max_weight, cap)
-    return kl_check_paulis(gs, errors, tol)
+                   cap: int = DEFAULT_ERROR_CAP) -> KLReport:
+    """Exact KL check of all Paulis of weight <= max_weight on the sector basis."""
+    refusal = kl_guard(lat, max_weight, cap)
+    if refusal:
+        raise GuardExceededError(refusal)
+    m = kl_elements(lat, enumerate_pauli_errors(lat, max_weight, cap))
+    return klcore.report_from_elements(m, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +617,8 @@ def ssr_certificate(lat: TorusLattice, p: QuditPauli,
     Returns 'detected' when p fails to commute with some stabilizer (then
     every ground-space matrix element vanishes), 'stabilizer' when p lies
     in the stabilizer group up to phase (then it acts as a scalar and all
-    off-diagonal elements vanish), or 'logical' otherwise.
+    off-diagonal elements vanish), or 'logical' otherwise.  Membership is
+    decided by rank over GF(N), so N must be prime.
     """
     if not _is_prime(lat.n):
         raise ValueError("symbolic membership test requires prime N")
@@ -485,19 +635,28 @@ def ssr_certificate(lat: TorusLattice, p: QuditPauli,
     return "logical"
 
 
+def logical_mask(lat: TorusLattice, xz: np.ndarray) -> np.ndarray:
+    """True for each xz row that commutes with every stabilizer and has a
+    nonzero logical power, i.e. is a logical operator; works for any N."""
+    n = lat.n
+    stabs = PauliArray.of(build_stabilizers(lat), n).xz
+    undetected = ~commutation_exponents(xz, stabs, n).any(axis=1)
+    mask = np.zeros(len(xz), dtype=bool)
+    mask[undetected] = commutation_exponents(
+        xz[undetected], _logical_probes(lat), n).any(axis=1)
+    return mask
+
+
 def ssr_exact_zero_check(lat: TorusLattice, max_weight: Optional[int] = None
                          ) -> bool:
-    """Certify <a|P|a'> = 0 (a != a') for every Pauli of weight < l.
+    """Certify that no Pauli of weight <= max_weight is a logical operator.
 
-    Purely symbolic; weight defaults to l - 1 (the code-distance bound).
+    Then <a|P|a'> = 0 for a != a' and every such P.  Weight defaults to
+    l - 1 (the code-distance bound).  Paulis are enumerated weight by
+    weight in chunks of at most ``SSR_CHUNK_BYTES`` of xz rows.
     """
     w = max_weight if max_weight is not None else lat.l - 1
-    stabs = build_stabilizers(lat)
-    for p in enumerate_pauli_errors(lat, max(w, 1)):
-        if p.is_identity_up_to_phase():
-            continue
-        if p.weight > w:
-            continue
-        if ssr_certificate(lat, p, stabs) == "logical":
-            return False
-    return True
+    max_rows = max(1, SSR_CHUNK_BYTES // (8 * 2 * lat.n_edges))
+    return not any(logical_mask(lat, xz).any()
+                   for weight in range(1, w + 1)
+                   for xz in _weight_chunks(lat, weight, max_rows))

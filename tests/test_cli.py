@@ -58,8 +58,16 @@ class TestValidate:
         assert cli.validate(rotor_config(q_max=2, w=1, logical_charges=[-1, 1])) == []
 
     def test_toric_guard_diagnostic(self):
+        # guard on the bytes of the KL working set, not on N^(2 l^2)
+        for params in ({"n": 3, "l": 2, "max_weight": 2},
+                       {"n": 2, "l": 3, "max_weight": 2},
+                       {"n": 2, "l": 2, "max_weight": 3}):
+            cfg = {"experiment": "toric", "params": params}
+            assert any("guard" in d for d in cli.validate(cfg)), params
+
+    def test_toric_guard_admits_large_lattice(self):
         cfg = {"experiment": "toric", "params": {"n": 3, "l": 3}}
-        assert any("guard" in d for d in cli.validate(cfg))
+        assert cli.validate(cfg) == []
 
     def test_unknown_experiment_rejected(self):
         diags = cli.validate({"experiment": "nope", "params": {}})
@@ -83,6 +91,23 @@ class TestRun:
         assert abs(rate - tail) < 5 * np.sqrt(tail / 20000)
         saved = json.loads((tmp_path / "run_report.json").read_text())
         assert saved["assumption_notes"]
+
+    def test_toric_n3_l3_runs_satisfied(self, tmp_path):
+        cfg = {"experiment": "toric", "params": {"n": 3, "l": 3}}
+        cli.run(cfg, str(tmp_path))
+        rows = (tmp_path / "sectors.csv").read_text().splitlines()
+        assert len(rows) == 10  # header + nine sectors
+        report = json.loads((tmp_path / "kl_report.json").read_text())
+        assert report["verdict"] == "satisfied"
+        assert report["max_violation"] == 0.0
+
+    def test_toric_report_bytes_reproducible(self, tmp_path):
+        cfg = {"experiment": "toric", "params": {"n": 2, "l": 2, "max_weight": 2}}
+        blobs = set()
+        for name in ("a", "b"):
+            cli.run(cfg, str(tmp_path / name))
+            blobs.add((tmp_path / name / "kl_report.json").read_bytes())
+        assert len(blobs) == 1
 
     def test_toric_sector_table(self, tmp_path):
         cfg = {"experiment": "toric", "params": {"n": 2, "l": 2}}
@@ -179,9 +204,13 @@ class TestMainExitCodes:
         assert cli.main(["run", str(cfg)]) == cli.EXIT_SCHEMA
 
     def test_guard_exceeded_exit_3(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"experiment": "toric",
-                                      "params": {"n": 3, "l": 3}})
-        assert cli.main(["run", str(cfg)]) == cli.EXIT_GUARD
+        for name, params in (("a", {"n": 3, "l": 2, "max_weight": 2}),
+                             ("b", {"n": 2, "l": 3, "max_weight": 2})):
+            cfg = write_config(tmp_path, {"experiment": "toric", "params": params},
+                               f"{name}.json")
+            assert cli.main(["run", str(cfg), "--output-dir",
+                             str(tmp_path / name)]) == cli.EXIT_GUARD
+            assert not (tmp_path / name).exists()
 
     def test_validate_subcommand(self, tmp_path, capsys):
         cfg = write_config(tmp_path, qcd_config())

@@ -2,15 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ssrqec.klcore import CodeSpace, ErrorSet, ssr_sector_check
 from ssrqec.hilbert import Operator, StateVector
-from ssrqec.toriccode import (GuardExceededError, QuditPauli, TorusLattice,
-                              _rank_mod_p, apply_pauli, build_stabilizers,
-                              commutation_exponent, enumerate_pauli_errors,
-                              ground_space, kl_check_paulis, kl_check_toric,
-                              pauli_adjoint, pauli_dense, pauli_identity,
-                              pauli_mul, sector_basis, single_qudit_pauli,
+from ssrqec.toriccode import (GuardExceededError, PauliArray, QuditPauli,
+                              TorusLattice, _rank_mod_p, apply_pauli,
+                              build_stabilizers, commutation_exponent,
+                              commutation_exponents, enumerate_pauli_errors,
+                              error_count, ground_space, kl_check_paulis,
+                              kl_check_toric, kl_elements, logical_mask,
+                              pair_phases, pauli_adjoint, pauli_dense,
+                              pauli_identity, pauli_mul, sector_basis,
+                              sector_labels, single_qudit_pauli,
                               ssr_certificate, ssr_exact_zero_check,
                               wilson_loop)
 
@@ -175,7 +181,7 @@ class TestKlChecks:
         # distance-2 code: single errors are detected (scalar single-error
         # elements) yet some pair products are logicals, so full KL fails
         sb = sector_basis(ground_space(LAT22))
-        report = kl_check_toric(LAT22, 1, gs=sb)
+        report = kl_check_toric(LAT22, 1)
         assert not report.satisfied
         b = sb.basis
         for p in enumerate_pauli_errors(LAT22, 1):
@@ -257,3 +263,185 @@ class TestSsrCertificates:
                for e in range(3)]
         res = ssr_sector_check(sectors, ErrorSet(tuple(ops)), tol=1e-10)
         assert res.respects_ssr
+
+
+@st.composite
+def pauli_arrays(draw, rows=st.integers(1, 5)):
+    """(PauliArray, PauliArray) on the same edges, N in {2, 3, 4}."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    width = 2 * draw(st.integers(1, 5))
+
+    def one():
+        e = draw(rows)
+        xz = draw(arrays(np.int64, (e, width), elements=st.integers(0, n - 1)))
+        phase = draw(arrays(np.int64, (e,), elements=st.integers(0, 2 * n - 1)))
+        return PauliArray(xz, phase, n)
+
+    return one(), one()
+
+
+class TestPauliArrayAlgebra:
+    @settings(max_examples=60, deadline=None)
+    @given(pauli_arrays())
+    def test_pair_products_match_pauli_mul(self, sets):
+        errors, _ = sets
+        phi = pair_phases(errors)
+        for a, ea in enumerate(errors):
+            for b, eb in enumerate(errors):
+                want = pauli_mul(pauli_adjoint(eb), ea)
+                diff = errors.xz[a] - errors.xz[b]
+                half = diff.size // 2
+                got = QuditPauli(tuple(diff[:half]), tuple(diff[half:]),
+                                 errors.n, int(phi[a, b]))
+                assert got == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(pauli_arrays())
+    def test_commutation_exponents_match_scalar(self, sets):
+        a_set, b_set = sets
+        c = commutation_exponents(a_set.xz, b_set.xz, a_set.n)
+        assert c.shape == (len(a_set), len(b_set))
+        for i, pa in enumerate(a_set):
+            for j, pb in enumerate(b_set):
+                assert c[i, j] == commutation_exponent(pa, pb)
+
+    @settings(max_examples=30, deadline=None)
+    @given(pauli_arrays())
+    def test_round_trip_through_quditpauli(self, sets):
+        errors, _ = sets
+        back = PauliArray.of(list(errors), errors.n)
+        np.testing.assert_array_equal(back.xz, errors.xz)
+        np.testing.assert_array_equal(back.phase, errors.phase)
+
+
+def old_enumeration(lat, max_weight):
+    """The per-Pauli enumeration loop the array enumeration replaced."""
+    n = lat.n
+    singles = [(x, z) for x in range(n) for z in range(n) if (x, z) != (0, 0)]
+    errors = [pauli_identity(lat.n_edges, n)]
+    errors += [single_qudit_pauli(lat, e, x, z)
+               for e in range(lat.n_edges) for x, z in singles]
+    if max_weight >= 2:
+        errors += [pauli_mul(single_qudit_pauli(lat, e1, x1, z1),
+                             single_qudit_pauli(lat, e2, x2, z2))
+                   for e1 in range(lat.n_edges)
+                   for e2 in range(e1 + 1, lat.n_edges)
+                   for x1, z1 in singles for x2, z2 in singles]
+    return errors
+
+
+class TestErrorEnumeration:
+    @pytest.mark.parametrize("lat,w", [(LAT22, 1), (LAT22, 2), (LAT23, 2),
+                                       (LAT32, 1)])
+    def test_matches_loop_enumeration_and_closed_form(self, lat, w):
+        errors = enumerate_pauli_errors(lat, w)
+        assert list(errors) == old_enumeration(lat, w)
+        assert len(errors) == error_count(lat, w)
+
+
+def dense_elements(gs, errors):
+    """M[a, b, i, j] = <j|E_b^dag E_a|i> from state vectors and one Gram."""
+    k = gs.dimension
+    flat = np.concatenate([apply_pauli(gs.lattice, p, gs.basis).T
+                           for p in errors])
+    gram = flat @ flat.conj().T
+    return gram.reshape(len(errors), k, len(errors), k).transpose(0, 2, 1, 3)
+
+
+def loaded_errors(lat, rng, count=12):
+    """Identity, loops, stabilizer-times-loop products and random Paulis,
+    with random phases: every block type of M appears."""
+    n = lat.n
+    stabs = PauliArray.of(build_stabilizers(lat), n).xz
+    loops = PauliArray.of([wilson_loop(lat, c, 1, k) for c in "xy"
+                           for k in ("electric", "magnetic")], n).xz
+    xz = [np.zeros(2 * lat.n_edges, dtype=np.int64)]
+    for _ in range(count):
+        row = rng.integers(0, n, len(stabs)) @ stabs + rng.integers(0, n, 4) @ loops
+        if rng.random() < 0.3:
+            row[rng.integers(2 * lat.n_edges)] += 1
+        xz.append(row % n)
+    return PauliArray(np.array(xz), rng.integers(0, 2 * n, len(xz)), n)
+
+
+ORACLE_CASES = [(2, 2, 1), (2, 2, 2), (3, 2, 1)]
+
+
+class TestSymbolicKl:
+    @pytest.mark.parametrize("n,l,w", ORACLE_CASES)
+    def test_elements_match_dense_coset_basis(self, n, l, w):
+        lat = TorusLattice(l, n)
+        errors = enumerate_pauli_errors(lat, w)
+        np.testing.assert_allclose(kl_elements(lat, errors),
+                                   dense_elements(ground_space(lat), errors),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n,l,w", ORACLE_CASES)
+    def test_report_matches_eigensolver_path(self, n, l, w):
+        lat = TorusLattice(l, n)
+        report = kl_check_toric(lat, w)
+        ref = kl_check_paulis(sector_basis(ground_space(lat)),
+                              enumerate_pauli_errors(lat, w))
+        assert report.verdict == ref.verdict
+        np.testing.assert_allclose(report.c_matrix, ref.c_matrix, rtol=0,
+                                   atol=1e-9)
+        assert report.max_violation == pytest.approx(ref.max_violation, abs=1e-9)
+
+    @pytest.mark.parametrize("lat", [LAT22, LAT23])
+    def test_phased_logicals_match_dense(self, lat):
+        errors = loaded_errors(lat, np.random.default_rng(40 + lat.n))
+        np.testing.assert_allclose(kl_elements(lat, errors),
+                                   dense_elements(ground_space(lat), errors),
+                                   rtol=0, atol=1e-12)
+
+    def test_satisfied_check_is_exactly_zero(self):
+        report = kl_check_toric(LAT32, 1)
+        assert report.satisfied and report.max_violation == 0.0
+
+    def test_guard_refuses_before_allocating(self):
+        with pytest.raises(GuardExceededError, match="working set"):
+            kl_check_toric(TorusLattice(2, 3), 2)
+        with pytest.raises(GuardExceededError, match="weight"):
+            kl_check_toric(LAT22, 3)
+
+
+class TestCosetBasis:
+    @pytest.mark.parametrize("lat", [LAT22, LAT23])
+    def test_phase_convention(self, lat):
+        # |a, b> = M_y^a E_y^-b |0, 0>: x-loops diagonal, y-loops shift
+        gs = ground_space(lat)
+        n = lat.n
+        assert gs.sector_labels == sector_labels(lat)
+        col = {ab: gs.basis[:, i] for i, ab in enumerate(gs.sector_labels)}
+        w = np.exp(2j * np.pi / n)
+        for (a, b), v in col.items():
+            np.testing.assert_allclose(
+                apply_pauli(lat, wilson_loop(lat, "x", 1, "electric"), v),
+                w ** a * v, atol=1e-12)
+            np.testing.assert_allclose(
+                apply_pauli(lat, wilson_loop(lat, "x", 1, "magnetic"), v),
+                w ** b * v, atol=1e-12)
+            np.testing.assert_allclose(
+                apply_pauli(lat, wilson_loop(lat, "y", 1, "magnetic"), v),
+                col[((a + 1) % n, b)], atol=1e-12)
+            np.testing.assert_allclose(
+                apply_pauli(lat, wilson_loop(lat, "y", -1, "electric"), v),
+                col[(a, (b + 1) % n)], atol=1e-12)
+
+
+class TestSymbolicSsr:
+    def test_certifies_l4_n2(self):
+        assert ssr_exact_zero_check(TorusLattice(4, 2))
+
+    def test_fails_at_weight_l(self):
+        assert ssr_exact_zero_check(LAT32, 3) is False
+        assert ssr_exact_zero_check(LAT22, 2) is False
+
+    @pytest.mark.parametrize("lat", [LAT22, LAT23, LAT32])
+    def test_agrees_with_rank_certificate(self, lat):
+        errors = loaded_errors(lat, np.random.default_rng(60 + lat.l), 150)
+        mask = logical_mask(lat, errors.xz)
+        stabs = build_stabilizers(lat)
+        certs = [ssr_certificate(lat, p, stabs) for p in errors]
+        assert len(set(certs)) == 3
+        assert mask.tolist() == [c == "logical" for c in certs]
