@@ -5,8 +5,9 @@ Subcommands:
   validate <config.json>  schema and guard checks without execution
   schema                  print the JSON schema for configs
 
-Exit codes: 0 success, 2 schema violation, 3 numeric guard exceeded,
-4 internal invariant breach.  CSV numbers use the shortest round-trip
+Exit codes: 0 success, 2 schema violation, 3 resource limit (a numeric
+guard refused the config or the run ran out of memory), 4 internal
+invariant breach.  CSV numbers use the shortest round-trip
 decimal representation of the underlying doubles, so reruns with the
 same seed are bitwise identical regardless of worker count
 (SSRQEC_THREADS caps parallelism).
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from . import klcore, qcdcode, rotor, scatter, toriccode
-from .hilbert import Operator, StateVector, operator_from_json, vector_from_json
+from .hilbert import StateVector, operator_from_json, vector_from_json
 from .toriccode import GuardExceededError
 
 EXIT_SCHEMA = 2
@@ -212,6 +213,10 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             writer.writerow([_fmt(x) for x in row])
 
 
+def _write_json(path: Path, obj) -> None:
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -227,8 +232,7 @@ def _run_kl_check(params: dict, outdir: Path, seed: Optional[int]) -> tuple[list
     report = klcore.kl_check(klcore.CodeSpace(codewords),
                              klcore.ErrorSet(ops), tol)
     path = outdir / "kl_report.json"
-    path.write_text(json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    _write_json(path, report.to_json())
     return [path], []
 
 
@@ -240,13 +244,8 @@ def _run_rotor(params: dict, outdir: Path, seed: Optional[int]) -> tuple[list, l
     w1, _ = rotor.build_codeword(space, space, q1, params["profile"], w)
     w2, _ = rotor.build_codeword(space, space, q2, params["profile"], w)
     psi = StateVector(w1.space, alpha * w1.amplitudes + beta * w2.amplitudes)
-    from .hilbert import apply, identity, tensor_product
-    ident = identity(space.product_space())
     for q in params["error_charges"]:
-        z = rotor.phase_flip(space, q)
-        op = tensor_product(z, ident) if params["error_side"] == "A" \
-            else tensor_product(ident, z)
-        psi = apply(op, psi)
+        psi = rotor.apply_phase_flip(psi, q, params["error_side"])
     rows = []
     for oc in rotor.enumerate_recovery(psi, (q1, q2)):
         fid = rotor.logical_fidelity(oc.alpha, oc.beta, alpha, beta)
@@ -321,9 +320,7 @@ def _run_toric(params: dict, outdir: Path, seed: Optional[int]) -> tuple[list, l
     report = toriccode.kl_check_toric(lat, params.get("max_weight", 1),
                                       params.get("tol", 1e-9))
     report_path = outdir / "kl_report.json"
-    report_path.write_text(
-        json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+    _write_json(report_path, report.to_json())
     return [sector_path, report_path], []
 
 
@@ -363,9 +360,7 @@ def run(config: dict, output_dir: Optional[str] = None) -> dict:
         "assumption_notes": notes,
         "outputs": {p.name: _sha256(p) for p in files},
     }
-    report_path = outdir / "run_report.json"
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                           encoding="utf-8")
+    _write_json(outdir / "run_report.json", report)
     return report
 
 
@@ -408,6 +403,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_SCHEMA
     except GuardExceededError as exc:
         print(f"error: guard exceeded: {exc}", file=sys.stderr)
+        return EXIT_GUARD
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except Exception as exc:  # invariant breach or internal failure
         print(f"error: internal invariant breach: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Dense and sparse complex linear algebra over labeled product spaces.
+"""Dense complex linear algebra over labeled product spaces.
 
 Everything downstream (code-space checks, rotor protocols, repetition
 pipelines, toric-code brute force) is built on the three value types here:
@@ -10,11 +10,10 @@ fixed once here and never revisited.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Iterable, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 DEFAULT_NORM_TOL = 1e-9
 
@@ -103,46 +102,25 @@ def basis_state(space: ProductSpace, index: int) -> StateVector:
 
 @dataclass(frozen=True)
 class Operator:
-    """A square operator, stored dense or sparse (CSR) per instance.
-
-    Sparse and dense instances are interchangeable in every operation; the
-    representation is an efficiency choice only.
-    """
+    """A square dense complex matrix on a product space."""
 
     space: ProductSpace
-    matrix: Union[np.ndarray, sp.csr_matrix]
+    matrix: np.ndarray
 
     def __post_init__(self):
-        m = self.matrix
+        m = np.asarray(self.matrix, dtype=np.complex128)
         d = self.space.dim
-        if sp.issparse(m):
-            m = m.tocsr().astype(np.complex128)
-        else:
-            m = np.asarray(m, dtype=np.complex128)
-            if m.ndim != 2:
-                raise ValueError("operator matrix must be 2-dimensional")
+        if m.ndim != 2:
+            raise ValueError("operator matrix must be 2-dimensional")
         if m.shape != (d, d):
             raise DimensionMismatchError(
                 f"operator shape {m.shape} != ({d}, {d})")
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def is_sparse(self) -> bool:
-        return sp.issparse(self.matrix)
-
     def dense(self) -> np.ndarray:
-        if self.is_sparse:
-            return np.asarray(self.matrix.todense())
         return self.matrix
 
-    def to_sparse(self) -> "Operator":
-        if self.is_sparse:
-            return self
-        return Operator(self.space, sp.csr_matrix(self.matrix))
-
     def adjoint(self) -> "Operator":
-        if self.is_sparse:
-            return Operator(self.space, self.matrix.conjugate().transpose().tocsr())
         return Operator(self.space, self.matrix.conj().T)
 
     def __matmul__(self, other: "Operator") -> "Operator":
@@ -163,9 +141,7 @@ class Operator:
         return Operator(self.space, scalar * self.matrix)
 
 
-def identity(space: ProductSpace, sparse: bool = False) -> Operator:
-    if sparse:
-        return Operator(space, sp.identity(space.dim, dtype=np.complex128, format="csr"))
+def identity(space: ProductSpace) -> Operator:
     return Operator(space, np.eye(space.dim, dtype=np.complex128))
 
 
@@ -208,17 +184,14 @@ def tensor_product(a, b):
     if isinstance(a, StateVector) and isinstance(b, StateVector):
         return StateVector(a.space.tensor(b.space), np.kron(a.amplitudes, b.amplitudes))
     if isinstance(a, Operator) and isinstance(b, Operator):
-        space = a.space.tensor(b.space)
-        if a.is_sparse or b.is_sparse:
-            return Operator(space, sp.kron(a.matrix, b.matrix, format="csr"))
-        return Operator(space, np.kron(a.matrix, b.matrix))
+        return Operator(a.space.tensor(b.space), np.kron(a.matrix, b.matrix))
     raise TypeError(
         f"tensor_product requires two StateVectors or two Operators, "
         f"got {type(a).__name__} and {type(b).__name__}")
 
 
 def apply(op: Operator, psi: StateVector) -> StateVector:
-    """Matrix-vector product; uses the sparse representation when present."""
+    """Matrix-vector product of a dense operator with a state."""
     if op.space.dim != psi.space.dim:
         raise DimensionMismatchError(
             f"operator dim {op.space.dim} != state dim {psi.space.dim}")

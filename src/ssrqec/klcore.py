@@ -121,7 +121,9 @@ def report_from_elements(m: np.ndarray, tol: float) -> KLReport:
     n_err = m.shape[0]
     k = m.shape[2]
     c = np.einsum("abii->ab", m) / k
-    dev = m - c[:, :, None, None] * np.eye(k)[None, None, :, :]
+    dev = m.copy()
+    diag = np.arange(k)
+    dev[:, :, diag, diag] -= c[:, :, None]
     absdev = np.abs(dev)
     max_violation = float(absdev.max())
     satisfied = max_violation <= tol

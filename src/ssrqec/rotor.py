@@ -160,6 +160,20 @@ def _split_dims(psi: StateVector) -> tuple[RotorSpace, RotorSpace]:
     return RotorSpace((da - 1) // 2), RotorSpace((db - 1) // 2)
 
 
+def apply_phase_flip(psi: StateVector, q: int, side: str) -> StateVector:
+    """Z_q on register ``side`` ("A" or "B") of ``psi``: negate its charge-q slice."""
+    space_a, space_b = _split_dims(psi)
+    amps = psi.amplitudes.reshape(-1, space_a.dim, space_b.dim).copy()
+    if side == "A":
+        sl = np.s_[:, space_a.index(q), :]
+    elif side == "B":
+        sl = np.s_[:, :, space_b.index(q)]
+    else:
+        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+    amps[sl] = -amps[sl]
+    return StateVector(psi.space, amps.reshape(-1))
+
+
 def enumerate_recovery(psi: StateVector, logical_charges: tuple[int, int]
                        ) -> Iterator[RecoveryOutcome]:
     """All B-measurement outcomes with their Born probabilities.
@@ -249,15 +263,11 @@ def wrong_guess_error_probability(space_a: RotorSpace, space_b: RotorSpace,
     the probability of branches whose recovered logical state differs from
     the input beyond a global phase.
     """
-    from .hilbert import apply, tensor_product, identity
-
     q1, q2 = logical_charges
     w1, _ = build_codeword(space_a, space_b, q1, profile, window)
     w2, _ = build_codeword(space_a, space_b, q2, profile, window)
     psi = StateVector(w1.space, alpha * w1.amplitudes + beta * w2.amplitudes)
-    err = tensor_product(phase_flip(space_a, flip_charge),
-                         identity(space_b.product_space()))
-    corrupted = apply(err, psi)
+    corrupted = apply_phase_flip(psi, flip_charge, "A")
     p_err = 0.0
     for oc in enumerate_recovery(corrupted, logical_charges):
         if logical_fidelity(oc.alpha, oc.beta, alpha, beta) < 1.0 - fidelity_tol:
@@ -281,8 +291,10 @@ def m_inv(m_op: Operator, disc: GroupDiscretization) -> Operator:
     """Discretized charge-invariant simulation on R tensor S.
 
     M^inv = sum_m |theta_m><theta_m|_R (x) (e^{-i theta_m Q} M e^{+i theta_m Q})_S.
-    Exact (orthonormal phase states, homomorphism property) at
-    n_g = rotor dimension.
+    Summing the phases over the group gives the closed form
+    M^inv_{(r,s),(r',s')} = M_{ss'} [q_r + q_s = q_r' + q_s' (mod n_g)],
+    a charge-conservation mask on ones (x) M.  Exact (orthonormal phase
+    states, homomorphism property) at n_g = rotor dimension.
     """
     d = m_op.space.dim
     if d % 2 == 0:
@@ -291,17 +303,10 @@ def m_inv(m_op: Operator, disc: GroupDiscretization) -> Operator:
     if disc.n_g < d:
         raise ValueError(f"n_g = {disc.n_g} < rotor dimension {d}")
     qs = np.arange(-space.q_max, space.q_max + 1)
-    md = m_op.dense()
-    out = np.zeros((d * d, d * d), dtype=np.complex128)
-    for mm in range(disc.n_g):
-        theta = 2.0 * np.pi * mm / disc.n_g
-        th = np.exp(-1j * qs * theta) / np.sqrt(disc.n_g)
-        proj = np.outer(th, th.conj())
-        u = np.exp(-1j * qs * theta)
-        conj_m = (u[:, None] * md) * u.conj()[None, :]
-        out += np.kron(proj, conj_m)
+    tot = (qs[:, None] + qs[None, :]).reshape(-1)  # q_r + q_s at index r*d + s
+    mask = (tot[:, None] - tot[None, :]) % disc.n_g == 0
     joint = space.product_space("R").tensor(space.product_space("S"))
-    return Operator(joint, out)
+    return Operator(joint, np.where(mask, np.tile(m_op.dense(), (d, d)), 0))
 
 
 def prepare_simulated_superposition(alphas: Mapping[int, complex],
@@ -333,15 +338,7 @@ def prepare_simulated_superposition(alphas: Mapping[int, complex],
 
 def total_charge_operator(space: RotorSpace, n_registers: int) -> Operator:
     """Sum of single-register charge operators on n copies of the rotor."""
-    from .hilbert import identity, tensor_product
-
-    q = charge_operator(space)
-    ident = identity(space.product_space())
-    total = None
-    for pos in range(n_registers):
-        term = None
-        for j in range(n_registers):
-            f = q if j == pos else ident
-            term = f if term is None else tensor_product(term, f)
-        total = term if total is None else total + term
-    return total
+    qs = np.arange(-space.q_max, space.q_max + 1, dtype=float)
+    total = sum(np.ix_(*([qs] * n_registers)))  # q_1 + ... + q_n on the index grid
+    joint = ProductSpace((space.dim,) * n_registers, ("rotor",) * n_registers)
+    return Operator(joint, np.diag(total.reshape(-1)).astype(np.complex128))

@@ -46,9 +46,9 @@ from .klcore import KLReport
 DESK_GUARD_DIM = 2 ** 20
 DEFAULT_ERROR_CAP = 10_000
 MAX_ENUM_WEIGHT = 2
-# Bytes the symbolic KL check may hold at once.  Its peak is about three
-# (E, E, N^2, N^2) complex arrays: M and, in report_from_elements, the
-# scalar part and the deviation.
+# Bytes the symbolic KL check may hold at once.  Three (E, E, N^2, N^2)
+# complex arrays are a safe upper bound on its peak: M plus, in
+# report_from_elements, the deviation and its float magnitudes.
 KL_MEMORY_BUDGET = 2 ** 30
 KL_WORKING_SET_ARRAYS = 3
 # Bytes of one chunk of enumerated error rows in ssr_exact_zero_check.

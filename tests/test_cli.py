@@ -1,13 +1,16 @@
 """Runner layer: config validation, dispatch, reproducibility, exit codes."""
 
+import csv
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from ssrqec import cli
-from ssrqec.hilbert import ProductSpace, basis_state, identity, vector_to_json, operator_to_json
+from ssrqec import cli, rotor
+from ssrqec.hilbert import (ProductSpace, StateVector, apply, basis_state,
+                            identity, operator_to_json, tensor_product,
+                            vector_to_json)
 from ssrqec.qcdcode import binomial_tail
 
 
@@ -130,6 +133,32 @@ class TestRun:
         assert report["verdict"] == "violated"
         assert report["max_violation"] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("side", ["A", "B"])
+    @pytest.mark.parametrize("q_max, w, profile, flips", [
+        (4, 1, "uniform", [1]), (4, 1, "uniform", [0, 0]),
+        (6, 3, "gaussian", [1, -2, 1]), (9, 4, "uniform", [-3, 2, 5, 2])])
+    def test_rotor_rows_match_dense_operators(self, tmp_path, side, q_max, w,
+                                              profile, flips):
+        # reference: the dense Z_q (x) I / I (x) Z_q operators applied in turn
+        space = rotor.RotorSpace(q_max)
+        alpha = beta = 1.0 / np.sqrt(2.0)
+        w1, _ = rotor.build_codeword(space, space, 0, profile, w)
+        w2, _ = rotor.build_codeword(space, space, 1, profile, w)
+        psi = StateVector(w1.space, alpha * w1.amplitudes + beta * w2.amplitudes)
+        ident = identity(space.product_space())
+        for q in flips:
+            z = rotor.phase_flip(space, q)
+            psi = apply(tensor_product(z, ident) if side == "A"
+                        else tensor_product(ident, z), psi)
+        expect = [[cli._fmt(oc.outcome), cli._fmt(oc.probability),
+                   cli._fmt(rotor.logical_fidelity(oc.alpha, oc.beta, alpha, beta))]
+                  for oc in rotor.enumerate_recovery(psi, (0, 1))]
+        cli.run(rotor_config(q_max=q_max, w=w, profile=profile, error_side=side,
+                             error_charges=flips), str(tmp_path))
+        with open(tmp_path / "rotor_recovery.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert rows == expect
+
     def test_rotor_experiment_fidelities(self, tmp_path):
         cfg = {"experiment": "rotor", "seed": 1,
                "params": {"q_max": 4, "w": 1, "profile": "uniform",
@@ -224,6 +253,15 @@ class TestMainExitCodes:
         assert cli.main(["run", str(cfg), "--output-dir",
                          str(tmp_path / "o")]) == cli.EXIT_SCHEMA
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("exc, code", [(MemoryError, cli.EXIT_GUARD),
+                                           (RuntimeError, cli.EXIT_INVARIANT)])
+    def test_runner_failure_exit_code(self, tmp_path, capsys, monkeypatch, exc, code):
+        def fail(params, outdir, seed):
+            raise exc("boom")
+        monkeypatch.setitem(cli._RUNNERS, "rotor", fail)
+        cfg = write_config(tmp_path, rotor_config())
+        assert cli.main(["run", str(cfg), "--output-dir", str(tmp_path / "o")]) == code
 
     def test_schema_subcommand(self, capsys):
         assert cli.main(["schema"]) == 0

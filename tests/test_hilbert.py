@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from ssrqec.hilbert import (DensityMatrix, DimensionMismatchError,
                             NormalizationError, Operator, ProductSpace,
@@ -74,17 +73,6 @@ class TestApply:
         out = apply(shift_up(space), charge_state(space, 1))
         np.testing.assert_allclose(out.amplitudes,
                                    charge_state(space, 2).amplitudes)
-
-    def test_sparse_dense_agree(self):
-        rng = np.random.default_rng(3)
-        d = 12
-        space = ProductSpace((d,))
-        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        psi = StateVector(space, rng.normal(size=d) + 1j * rng.normal(size=d))
-        dense = apply(Operator(space, m), psi)
-        sparse = apply(Operator(space, sp.csr_matrix(m)), psi)
-        np.testing.assert_allclose(dense.amplitudes, sparse.amplitudes,
-                                   atol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -172,8 +160,7 @@ class TestOperatorRepresentation:
         m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         op = Operator(ProductSpace((3,)), m)
         np.testing.assert_allclose(op.adjoint().adjoint().dense(), m)
-        np.testing.assert_allclose(op.to_sparse().adjoint().dense(),
-                                   m.conj().T, atol=1e-12)
+        np.testing.assert_allclose(op.adjoint().dense(), m.conj().T)
 
     def test_gram_form_positive(self):
         rng = np.random.default_rng(13)

@@ -1,12 +1,14 @@
 """Knill-Laflamme checks, sector checks, Kraus extraction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ssrqec.hilbert import (Operator, ProductSpace, StateVector, basis_state,
                             identity, tensor_product)
 from ssrqec.klcore import (CodeSpace, ErrorSet, kl_check, kraus_extract,
-                           ssr_sector_check)
+                           report_from_elements, ssr_sector_check)
 from ssrqec.rotor import RotorSpace, charge_operator, charge_state, shift_up
 
 SP2 = ProductSpace((2,))
@@ -117,6 +119,20 @@ class TestKlInvariances:
                 assert m[0, 1] == 0 and m[1, 0] == 0
         assert report.satisfied or all(
             i == j for (_, _, i, j, _) in report.violations)
+
+
+def test_report_from_elements_allocates_under_1_7_m():
+    # dev (one M) plus its magnitudes (half an M); no (E, E, k, k) scalar part
+    from ssrqec.toriccode import TorusLattice, enumerate_pauli_errors, kl_elements
+    lat = TorusLattice(2, 2)
+    m = kl_elements(lat, enumerate_pauli_errors(lat, 2))
+    tracemalloc.start()
+    try:
+        report_from_elements(m, 1e-9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.7 * m.nbytes
 
 
 class TestSectorCheck:

@@ -4,12 +4,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssrqec.hilbert import (Operator, ProductSpace, StateVector, apply,
                             basis_state, identity, inner, tensor_product)
-from ssrqec.rotor import (GroupDiscretization, RotorSpace, build_codeword,
-                          charge_operator, charge_state, enumerate_recovery,
-                          logical_fidelity, m_inv, phase_flip, phase_state,
+from ssrqec.rotor import (GroupDiscretization, RotorSpace, apply_phase_flip,
+                          build_codeword, charge_operator, charge_state,
+                          enumerate_recovery, logical_fidelity, m_inv,
+                          phase_flip, phase_state,
                           prepare_simulated_superposition,
                           recover_by_measuring_B, shift_up,
                           total_charge_operator,
@@ -248,6 +251,65 @@ class TestMInv:
         states = [phase_state(self.space, self.disc, m) for m in range(self.d)]
         g = np.array([[inner(a, b) for b in states] for a in states])
         np.testing.assert_allclose(g, np.eye(self.d), atol=1e-12)
+
+
+def m_inv_group_average(m: np.ndarray, n_g: int) -> np.ndarray:
+    """Reference M^inv: the explicit sum over the n_g phase points."""
+    d = m.shape[0]
+    qs = np.arange(d) - (d - 1) // 2
+    out = np.zeros((d * d, d * d), dtype=complex)
+    for mm in range(n_g):
+        u = np.exp(-2j * np.pi * qs * mm / n_g)
+        out += np.kron(np.outer(u, u.conj()) / n_g, (u[:, None] * m) * u.conj())
+    return out
+
+
+class TestClosedForms:
+    @settings(max_examples=60, deadline=None)
+    @given(q_max=st.integers(1, 4), data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_m_inv_matches_group_average(self, q_max, data, seed):
+        d = 2 * q_max + 1
+        n_g = data.draw(st.integers(d, 3 * d + 2), label="n_g")
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        space = RotorSpace(q_max)
+        out = m_inv(Operator(space.product_space(), m), GroupDiscretization(n_g))
+        assert out.space == ProductSpace((d, d), ("R", "S"))
+        np.testing.assert_allclose(out.dense(), m_inv_group_average(m, n_g),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_total_charge_matches_kronecker_sum(self, n):
+        space = RotorSpace(2)
+        q, ident = charge_operator(space), identity(space.product_space())
+        expect = None
+        for pos in range(n):
+            term = q if pos == 0 else ident
+            for j in range(1, n):
+                term = tensor_product(term, q if j == pos else ident)
+            expect = term if expect is None else expect + term
+        out = total_charge_operator(space, n)
+        assert out.space == expect.space
+        np.testing.assert_array_equal(out.dense(), expect.dense())
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_phase_flip_slice_matches_dense_operator(self, side):
+        space = RotorSpace(3)
+        psi = superpose(space, (0, 1), "gaussian", 2)
+        ident = identity(space.product_space())
+        for q in (-1, 0, 2):
+            z = phase_flip(space, q)
+            op = tensor_product(z, ident) if side == "A" else tensor_product(ident, z)
+            np.testing.assert_array_equal(apply_phase_flip(psi, q, side).amplitudes,
+                                          apply(op, psi).amplitudes)
+
+    def test_phase_flip_rejects_bad_side_and_charge(self):
+        space = RotorSpace(2)
+        psi = superpose(space, (0, 1), "uniform", 1)
+        with pytest.raises(ValueError):
+            apply_phase_flip(psi, 0, "C")
+        with pytest.raises(ValueError):
+            apply_phase_flip(psi, 3, "A")
 
 
 class TestSimulatedSuperposition:
