@@ -171,13 +171,22 @@ def _schema_diags(config: dict) -> list[str]:
     if exp == "qcd-code" and p["n"] % 2 == 0:
         diags.append("qcd-code requires odd n (even-n majority ties are rejected "
                      "at encode time by design)")
-    if exp == "xsec" and p["e_cm_min"] > p["e_cm_max"]:
-        diags.append("e_cm_min must not exceed e_cm_max")
+    if exp == "xsec":
+        if p["e_cm_min"] > p["e_cm_max"]:
+            diags.append("e_cm_min must not exceed e_cm_max")
+        try:
+            scatter.check_energies(_xsec_energies(p), tuple(p["masses"]))
+        except (ValueError, scatter.PropagatorPoleError) as exc:
+            diags.append(f"xsec energy grid: {exc}")
     if exp == "rotor":
         for q in p["logical_charges"]:
             if abs(q) + p["w"] > p["q_max"]:
                 diags.append(f"rotor window w={p['w']} around logical charge {q} "
                              f"exceeds q_max={p['q_max']} (needs |q| + w <= q_max)")
+        for q in p["error_charges"]:
+            if abs(q) > p["q_max"]:
+                diags.append(f"rotor error charge {q} outside truncation "
+                             f"|q| <= q_max={p['q_max']}")
     return diags
 
 
@@ -192,7 +201,9 @@ def _guard_diags(config: dict) -> list[str]:
 
 
 def validate(config: dict) -> list[str]:
-    """Schema plus guard checks without execution; diagnostics, never raises."""
+    """Schema plus guard checks without execution, as diagnostics.
+
+    Raises nothing but MemoryError (an ``xsec`` grid too large to hold)."""
     diags = _schema_diags(config)
     if diags and diags[0].startswith("schema"):
         return diags
@@ -292,17 +303,15 @@ def _run_qcd_code(params: dict, outdir: Path, seed: Optional[int]) -> tuple[list
                     "coherence budget, not a simulated channel"]
 
 
+def _xsec_energies(params: dict) -> np.ndarray:
+    return np.linspace(params["e_cm_min"], params["e_cm_max"], params["steps"])
+
+
 def _run_xsec(params: dict, outdir: Path, seed: Optional[int]) -> tuple[list, list]:
-    masses = tuple(params["masses"])
-    n_theta = params.get("n_theta", 64)
-    e_values = np.linspace(params["e_cm_min"], params["e_cm_max"], params["steps"])
-    rows = []
-    for e_cm in e_values:
-        e_cm = float(e_cm)
-        amp2 = scatter.make_amp2(e_cm, masses, params["g1"], params["g2"],
-                                 params["lam"])
-        res = scatter.sigma_tot(e_cm, masses, amp2, n_theta)
-        rows.append([res.e_cm, res.sigma, res.above_threshold])
+    results = scatter.sigma_tot_grid(_xsec_energies(params), tuple(params["masses"]),
+                                     params["g1"], params["g2"], params["lam"],
+                                     params.get("n_theta", 64))
+    rows = [[res.e_cm, res.sigma, res.above_threshold] for res in results]
     path = outdir / "cross_section.csv"
     _write_csv(path, ["e_cm_mev", "sigma_mev^-2", "above_threshold"], rows)
     return [path], []
@@ -391,7 +400,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_SCHEMA
 
     if args.command == "validate":
-        diags = validate(config)
+        try:
+            diags = validate(config)
+        except MemoryError as exc:
+            print(f"error: out of memory: {exc}", file=sys.stderr)
+            return EXIT_GUARD
         for d in diags:
             print(d)
         return 0 if not diags else EXIT_SCHEMA

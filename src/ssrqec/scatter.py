@@ -5,6 +5,16 @@ The pion-emission amplitude proton + scalar -> neutron + pion is built
 from Dirac spinors in the Dirac representation; the total cross-section
 carries the threshold step function explicitly, with theta(0) = 0 so
 sigma vanishes exactly at threshold.
+
+``amplitude_p_to_n`` and ``spin_summed_amp2`` evaluate one kinematic point
+and one spin pair at a time; they are the scalar reference.  A sweep runs
+through ``sigma_tot_grid``: ``spin_summed_amp2_grid`` builds the momenta,
+both spinors, vertex and propagator of every (energy, quadrature node) row
+as arrays and gets all four spin amplitudes from one batched product.  Rows
+go in chunks of ``GRID_CHUNK_ROWS // n_theta`` energies (at least one), so
+the per-(energy, node) temporaries hold at most max(GRID_CHUNK_ROWS, n_theta)
+rows, about 12 MiB at n_theta <= 2**14.  On top of that come a few arrays of
+one value per energy and the Gauss-Legendre eigenproblem, O(n_theta^2).
 """
 
 from __future__ import annotations
@@ -16,6 +26,12 @@ from typing import Callable, Optional
 import numpy as np
 
 DEFAULT_POLE_GUARD = 1.0  # MeV^2
+# (energy, node) rows per spin_summed_amp2_grid call in sigma_tot_grid;
+# each row holds about 0.8 KiB of temporaries at the peak.
+GRID_CHUNK_ROWS = 2 ** 14
+# default conservation_tol (MeV) and relative shell_tol of the scalar path;
+# the batched kernel uses the same values
+_KINEMATIC_TOL = 1e-6
 
 
 class PropagatorPoleError(ArithmeticError):
@@ -105,7 +121,7 @@ GAMMA = GammaBasis(*_build_gammas())
 
 
 def dirac_u(p: FourMomentum, m: float, spin: int,
-            shell_tol: float = 1e-6) -> np.ndarray:
+            shell_tol: float = _KINEMATIC_TOL) -> np.ndarray:
     """Positive-energy spinor, Dirac representation, normalized u-bar u = 2m."""
     if spin not in (+1, -1):
         raise ValueError("spin must be +1 or -1")
@@ -134,7 +150,9 @@ def cm_momentum(e_cm: float, m_a: float, m_b: float) -> float:
         raise ValueError("e_cm must be positive")
     if e_cm <= m_a + m_b:
         return 0.0
-    val = (e_cm ** 2 - (m_a + m_b) ** 2) * (e_cm ** 2 - (m_a - m_b) ** 2)
+    # x * x, not x ** 2: libm pow(x, 2) misrounds about one square in 1000,
+    # and the batched path (numpy squares exactly) must see the same momenta
+    val = (e_cm * e_cm - (m_a + m_b) ** 2) * (e_cm * e_cm - (m_a - m_b) ** 2)
     return math.sqrt(val) / (2.0 * e_cm)
 
 
@@ -167,7 +185,7 @@ def cm_kinematics(e_cm: float, m1: float, m2: float, m3: float, m4: float,
     k_out = cm_momentum(e_cm, m3, m4)
     if k_in == 0.0:
         raise ValueError("invalid initial state: e_cm <= m1 + m2")
-    st = math.sqrt(max(0.0, 1.0 - cos_theta ** 2))
+    st = math.sqrt(max(0.0, 1.0 - cos_theta * cos_theta))
     k1 = FourMomentum.on_shell(m1, 0.0, 0.0, k_in)
     k2 = FourMomentum.on_shell(m2, 0.0, 0.0, -k_in)
     k3 = FourMomentum.on_shell(m3, k_out * st, 0.0, k_out * cos_theta)
@@ -185,7 +203,7 @@ def amplitude_p_to_n(k1: FourMomentum, k2: FourMomentum, k3: FourMomentum,
                      m_p: Optional[float] = None,
                      m_n: Optional[float] = None,
                      pole_guard: float = DEFAULT_POLE_GUARD,
-                     conservation_tol: float = 1e-6) -> complex:
+                     conservation_tol: float = _KINEMATIC_TOL) -> complex:
     """Tree amplitude p + phi -> n + pi with an s-channel proton propagator.
 
     The propagator is evaluated through the (kslash + m)/(k^2 - m^2)
@@ -225,6 +243,118 @@ def spin_summed_amp2(k1: FourMomentum, k2: FourMomentum, k3: FourMomentum,
 
 
 # ---------------------------------------------------------------------------
+# Batched amplitude: (energy, cos theta) grids as arrays
+
+# eta_mu gamma^mu and eta_mu gamma^mu gamma5 as (4, 16) rows: slash(p) is
+# p @ rows.  Entries are 0, +-1, +-i, so the products are exact.
+_G_ETA = np.stack(GAMMA.gammas()) * np.array([1.0, -1.0, -1.0, -1.0])[:, None, None]
+_SLASH, _SLASH_G5 = _G_ETA.reshape(4, 16), (_G_ETA @ GAMMA.g5).reshape(4, 16)
+
+
+def _slash(p: np.ndarray, rows: np.ndarray = _SLASH) -> np.ndarray:
+    """GAMMA.slash(p) (or GAMMA.slash(p) @ g5) for p of shape (..., 4)."""
+    return (p @ rows).reshape(p.shape[:-1] + (4, 4))
+
+
+def _mass2(p: np.ndarray) -> np.ndarray:
+    return p[..., 0] * p[..., 0] - p[..., 1] * p[..., 1] \
+        - p[..., 2] * p[..., 2] - p[..., 3] * p[..., 3]
+
+
+def _on_shell(m: float, px, pz) -> np.ndarray:
+    """FourMomentum.on_shell(m, px, 0, pz) for arrays, as (..., 4)."""
+    px, pz = np.broadcast_arrays(px, pz)
+    return np.stack([np.sqrt(m * m + px * px + pz * pz), px,
+                     np.zeros_like(px), pz], axis=-1)
+
+
+def _cm_momenta(e: np.ndarray, m_a: float, m_b: float) -> np.ndarray:
+    """cm_momentum for an array of energies: 0 at or below threshold."""
+    val = (e * e - (m_a + m_b) ** 2) * (e * e - (m_a - m_b) ** 2)
+    return np.where(e > m_a + m_b, np.sqrt(np.maximum(val, 0.0)) / (2.0 * e), 0.0)
+
+
+def _spinors(p: np.ndarray, m: float) -> np.ndarray:
+    """dirac_u for spins +1 and -1 as the two columns of (..., 4, 2)."""
+    e, px, py, pz = np.moveaxis(p, -1, 0)
+    u = np.zeros(p.shape[:-1] + (4, 2), dtype=np.complex128)
+    u[..., 0, 0] = u[..., 1, 1] = 1.0
+    u[..., 2, 0], u[..., 2, 1] = pz, px - 1j * py
+    u[..., 3, 0], u[..., 3, 1] = px + 1j * py, -pz
+    u[..., 2:, :] /= (e + m)[..., None, None]
+    return np.sqrt(e + m)[..., None, None] * u
+
+
+def _initial_state(e: np.ndarray, m1: float, m2: float):
+    """k1 along +z, k = k1 + k2 and k^2 - m_p^2 (m_p = m1) per energy."""
+    k_in = _cm_momenta(e, m1, m2)
+    if np.any(k_in == 0.0):
+        raise ValueError("invalid initial state: e_cm <= m1 + m2")
+    k1 = _on_shell(m1, 0.0, k_in)
+    k = k1 + _on_shell(m2, 0.0, -k_in)
+    return k1, k, _mass2(k) - m1 * m1
+
+
+def _check_pole(den: np.ndarray, pole_guard: float) -> None:
+    near = np.abs(den) < pole_guard
+    if near.any():
+        raise PropagatorPoleError(f"|k^2 - m_p^2| = {float(np.abs(den[near][0]))} "
+                                  f"below pole guard {pole_guard}")
+
+
+def check_energies(e_values, masses: tuple[float, float, float, float]) -> None:
+    """Refuse a sweep before any amplitude is built, as sigma_tot_grid would.
+
+    ValueError if some E <= m1 + m2; PropagatorPoleError if some E above
+    threshold has |k^2 - m_p^2| < DEFAULT_POLE_GUARD.  Energies go in chunks
+    of GRID_CHUNK_ROWS, so the check needs no more memory than one chunk.
+    """
+    e = np.asarray(e_values, dtype=float)
+    m1, m2, m3, m4 = masses
+    if np.any(e <= m1 + m2):
+        raise ValueError("invalid initial state: e_cm <= m1 + m2")
+    for lo in range(0, e.size, GRID_CHUNK_ROWS):
+        chunk = e[lo:lo + GRID_CHUNK_ROWS]
+        _check_pole(_initial_state(chunk, m1, m2)[2][chunk > m3 + m4],
+                    DEFAULT_POLE_GUARD)
+
+
+def spin_summed_amp2_grid(e_cm, cos_theta, masses: tuple[float, float, float, float],
+                          g1: float, g2: float, lam: float,
+                          pole_guard: float = DEFAULT_POLE_GUARD) -> np.ndarray:
+    """spin_summed_amp2 at cm_kinematics(E, *masses, c) for every E x c.
+
+    Returns an (E, T) array.  m_p = m1 and m_n = m3, as in make_amp2.  The
+    checks of the scalar path run on every row, in its order: energy-momentum
+    conservation (ValueError), the pole guard (PropagatorPoleError), then the
+    on-shell test of the proton and neutron spinors (ValueError).
+    """
+    m1, m2, m3, m4 = masses
+    e = np.asarray(e_cm, dtype=float)[:, None]
+    c = np.asarray(cos_theta, dtype=float)[None, :]
+    k1, k, den = _initial_state(e, m1, m2)                     # (E, 1, ...)
+    k_out = _cm_momenta(e, m3, m4)
+    st = np.sqrt(np.maximum(0.0, 1.0 - c * c))
+    k3 = _on_shell(m3, k_out * st, k_out * c)                  # (E, T, 4)
+    k4 = _on_shell(m4, -k_out * st, -k_out * c)
+    if np.any(np.abs(k - (k3 + k4)) > _KINEMATIC_TOL):
+        raise ValueError("energy-momentum not conserved at the required tolerance")
+    _check_pole(den, pole_guard)
+    for p, m in ((k1, m1), (k3, m3)):
+        p2 = _mass2(p)
+        off = np.abs(p2 - m * m) > _KINEMATIC_TOL * max(m * m, 1.0)
+        if off.any():
+            raise ValueError(f"momentum off shell: p^2 = {float(p2[off][0])}, "
+                             f"m^2 = {m * m}")
+    vertex = _slash(k4, (-1j * g1) * _SLASH_G5) - g2 * GAMMA.g5
+    propagator = 1j * (_slash(k) + m1 * np.eye(4)) / den[..., None, None]
+    u1, u3 = _spinors(k1, m1), _spinors(k3, m3)
+    u3_bar = u3.conj().swapaxes(-1, -2) * GAMMA.g0.diagonal()  # u-bar; g0 diagonal
+    amp = (-1j * lam) * (u3_bar @ vertex @ (propagator @ u1))  # (E, T, s3, s1)
+    return (amp.real ** 2 + amp.imag ** 2).sum(axis=(-2, -1)) / 2.0
+
+
+# ---------------------------------------------------------------------------
 # Cross-section
 
 
@@ -239,6 +369,32 @@ class CrossSectionResult:
             raise ValueError("sigma must be exactly 0 below threshold")
 
 
+def _quadrature(e: np.ndarray, masses: tuple[float, float, float, float],
+                n_theta: int):
+    """Threshold step, Gauss-Legendre nodes and weights, and the prefactor
+    (|k3|/|k1|) 2 pi / (64 pi^2 E^2) of each energy above threshold."""
+    m1, m2, m3, m4 = masses
+    if np.any(e <= m1 + m2):
+        raise ValueError("invalid initial state: e_cm <= m1 + m2")
+    if n_theta < 2:
+        raise ValueError("n_theta must be >= 2")
+    above = e > m3 + m4
+    ea = e[above]
+    prefactor = (1.0 / (64.0 * math.pi ** 2 * ea ** 2)) \
+        * (_cm_momenta(ea, m3, m4) / _cm_momenta(ea, m1, m2)) * 2.0 * math.pi
+    nodes, weights = np.polynomial.legendre.leggauss(n_theta)
+    return above, prefactor, nodes, weights
+
+
+def _weighted_sum(weights, values):
+    """sum_j w_j values_j, added in node order: each energy's integral is the
+    same however the energies are batched."""
+    total = 0.0
+    for w, v in zip(weights, values):
+        total = total + w * v
+    return total
+
+
 def sigma_tot(e_cm: float, masses: tuple[float, float, float, float],
               amp2: Callable[[float], float], n_theta: int = 64
               ) -> CrossSectionResult:
@@ -249,31 +405,47 @@ def sigma_tot(e_cm: float, masses: tuple[float, float, float, float],
     by Gauss-Legendre quadrature in cos(theta).  theta(0) = 0: at and
     below threshold the result is exactly zero with the flag cleared.
     """
-    m1, m2, m3, m4 = masses
-    if e_cm <= m1 + m2:
-        raise ValueError("invalid initial state: e_cm <= m1 + m2")
-    if n_theta < 2:
-        raise ValueError("n_theta must be >= 2")
-    if e_cm <= m3 + m4:
+    above, prefactor, nodes, weights = _quadrature(np.array([e_cm], dtype=float),
+                                                   masses, n_theta)
+    if not above[0]:
         return CrossSectionResult(0.0, False, e_cm)
-    k1 = cm_momentum(e_cm, m1, m2)
-    k3 = cm_momentum(e_cm, m3, m4)
-    nodes, weights = np.polynomial.legendre.leggauss(n_theta)
-    integral = float(sum(w * amp2(float(x)) for x, w in zip(nodes, weights)))
-    sigma = (1.0 / (64.0 * math.pi ** 2 * e_cm ** 2)) * (k3 / k1) \
-        * 2.0 * math.pi * integral
-    return CrossSectionResult(sigma, True, e_cm)
+    integral = _weighted_sum(weights, [amp2(float(x)) for x in nodes])
+    return CrossSectionResult(float(prefactor[0] * integral), True, e_cm)
+
+
+def sigma_tot_grid(e_values, masses: tuple[float, float, float, float],
+                   g1: float, g2: float, lam: float, n_theta: int = 64
+                   ) -> list[CrossSectionResult]:
+    """sigma_tot with make_amp2's |A|^2 (default pole guard) for every
+    energy of a sweep.
+
+    Energies above threshold go through spin_summed_amp2_grid in chunks of
+    GRID_CHUNK_ROWS // n_theta energies (at least one).  Each energy's
+    integral is summed in node order, so it does not depend on the chunking.
+    """
+    e = np.asarray(e_values, dtype=float)
+    above, prefactor, nodes, weights = _quadrature(e, masses, n_theta)
+    ea = e[above]
+    integral = np.empty(ea.shape)
+    per_chunk = max(1, GRID_CHUNK_ROWS // n_theta)
+    for lo in range(0, ea.size, per_chunk):
+        amp2 = spin_summed_amp2_grid(ea[lo:lo + per_chunk], nodes, masses,
+                                     g1, g2, lam)
+        integral[lo:lo + per_chunk] = _weighted_sum(weights, amp2.T)
+    sigma = np.zeros(e.shape)
+    sigma[above] = prefactor * integral
+    return [CrossSectionResult(float(s), bool(a), float(x))
+            for x, s, a in zip(e, sigma, above)]
 
 
 def make_amp2(e_cm: float, masses: tuple[float, float, float, float],
               g1: float, g2: float, lam: float,
               pole_guard: float = DEFAULT_POLE_GUARD) -> Callable[[float], float]:
-    """Spin-summed |A|^2 as a function of cos(theta) at fixed CM energy."""
-    m1, m2, m3, m4 = masses
+    """Spin-summed |A|^2 as a function of cos(theta) at fixed CM energy:
+    a one-energy, one-node view of spin_summed_amp2_grid."""
 
     def amp2(cos_theta: float) -> float:
-        k1, k2, k3, k4 = cm_kinematics(e_cm, m1, m2, m3, m4, cos_theta)
-        return spin_summed_amp2(k1, k2, k3, k4, g1, g2, lam,
-                                m_p=m1, m_n=m3, pole_guard=pole_guard)
+        return float(spin_summed_amp2_grid([e_cm], [cos_theta], masses, g1, g2,
+                                           lam, pole_guard)[0, 0])
 
     return amp2

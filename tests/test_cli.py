@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from ssrqec import cli, rotor
+from ssrqec import cli, rotor, scatter
 from ssrqec.hilbert import (ProductSpace, StateVector, apply, basis_state,
                             identity, operator_to_json, tensor_product,
                             vector_to_json)
@@ -27,6 +27,16 @@ def qcd_config(**overrides):
     return cfg
 
 
+def xsec_config(**overrides):
+    cfg = {"experiment": "xsec",
+           "params": {"masses": [938.3, 10.0, 939.6, 139.6],
+                      "g1": 0.8, "g2": 0.5, "lam": 1.2,
+                      "e_cm_min": 950.0, "e_cm_max": 1400.0, "steps": 25,
+                      "n_theta": 16}}
+    cfg["params"].update(overrides)
+    return cfg
+
+
 def rotor_config(**overrides):
     cfg = {"experiment": "rotor",
            "params": {"q_max": 4, "w": 1, "profile": "uniform",
@@ -34,6 +44,17 @@ def rotor_config(**overrides):
                       "error_charges": [1]}}
     cfg["params"].update(overrides)
     return cfg
+
+
+# Configs that run would refuse inside sigma_tot_grid: an initial state
+# below m1 + m2, and an energy above threshold within the pole guard.
+XSEC_REFUSED = {
+    "initial state": xsec_config(e_cm_min=900.0),
+    "pole guard": xsec_config(masses=[938.3, 0.0, 1.0, 1.0], e_cm_min=938.3001,
+                              e_cm_max=938.3002, steps=3),
+}
+REFUSED_BEFORE_RUN = {**XSEC_REFUSED,
+                      "rotor charge": rotor_config(q_max=4, error_charges=[7])}
 
 
 class TestValidate:
@@ -59,6 +80,16 @@ class TestValidate:
         diags = cli.validate(rotor_config(q_max=2, w=2, logical_charges=[0, 1]))
         assert len(diags) == 1 and "charge 1" in diags[0]
         assert cli.validate(rotor_config(q_max=2, w=1, logical_charges=[-1, 1])) == []
+
+    def test_rotor_error_charge_outside_truncation_rejected(self):
+        diags = cli.validate(rotor_config(q_max=4, error_charges=[1, 7]))
+        assert len(diags) == 1 and "charge 7" in diags[0]
+        assert cli.validate(rotor_config(q_max=4, error_charges=[-4, 4])) == []
+
+    @pytest.mark.parametrize("reason", sorted(XSEC_REFUSED))
+    def test_xsec_grid_refusals(self, reason):
+        diags = cli.validate(XSEC_REFUSED[reason])
+        assert len(diags) == 1 and reason in diags[0]
 
     def test_toric_guard_diagnostic(self):
         # guard on the bytes of the KL working set, not on N^(2 l^2)
@@ -186,6 +217,33 @@ class TestRun:
         flags = [row.split(",")[2] for row in rows]
         assert flags == ["False", "False", "True"]
 
+    @pytest.mark.parametrize("e_cm_min", [950.0, 939.6 + 139.6])
+    def test_xsec_csv_matches_scalar_loop(self, tmp_path, e_cm_min):
+        cfg = xsec_config(e_cm_min=e_cm_min)
+        p = cfg["params"]
+        masses = tuple(p["masses"])
+        cli.run(cfg, str(tmp_path))
+        with open(tmp_path / "cross_section.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["e_cm_mev", "sigma_mev^-2", "above_threshold"]
+        energies = np.linspace(p["e_cm_min"], p["e_cm_max"], p["steps"])
+        assert len(rows) == len(energies)
+        for row, e in zip(rows, energies):
+            e = float(e)
+
+            def amp2(c):
+                ks = scatter.cm_kinematics(e, *masses, cos_theta=c)
+                return scatter.spin_summed_amp2(*ks, p["g1"], p["g2"], p["lam"],
+                                                m_p=masses[0], m_n=masses[2])
+
+            ref = scatter.sigma_tot(e, masses, amp2, p["n_theta"])
+            assert [row[0], row[2]] == [repr(e), str(ref.above_threshold)]
+            if e <= masses[2] + masses[3]:
+                assert row[1] == "0.0"
+            else:
+                assert float(row[1]) == pytest.approx(ref.sigma, rel=1e-12, abs=0.0)
+        assert rows[0][2] == "False" and rows[-1][2] == "True"
+
     def test_qcd_rates_experiment(self, tmp_path):
         cfg = {"experiment": "qcd-rates",
                "params": {"temperatures": [14.0], "energies": [16.5]}}
@@ -254,6 +312,14 @@ class TestMainExitCodes:
                          str(tmp_path / "o")]) == cli.EXIT_SCHEMA
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("name", sorted(REFUSED_BEFORE_RUN))
+    def test_refused_before_run_exit_2(self, tmp_path, capsys, name):
+        cfg = write_config(tmp_path, REFUSED_BEFORE_RUN[name])
+        assert cli.main(["validate", str(cfg)]) == cli.EXIT_SCHEMA
+        assert cli.main(["run", str(cfg), "--output-dir",
+                         str(tmp_path / "o")]) == cli.EXIT_SCHEMA
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("exc, code", [(MemoryError, cli.EXIT_GUARD),
                                            (RuntimeError, cli.EXIT_INVARIANT)])
     def test_runner_failure_exit_code(self, tmp_path, capsys, monkeypatch, exc, code):
@@ -262,6 +328,14 @@ class TestMainExitCodes:
         monkeypatch.setitem(cli._RUNNERS, "rotor", fail)
         cfg = write_config(tmp_path, rotor_config())
         assert cli.main(["run", str(cfg), "--output-dir", str(tmp_path / "o")]) == code
+
+    def test_validate_out_of_memory_exit_3(self, tmp_path, capsys, monkeypatch):
+        def fail(e_values, masses):
+            raise MemoryError("boom")
+        monkeypatch.setattr(cli.scatter, "check_energies", fail)
+        cfg = write_config(tmp_path, xsec_config())
+        assert cli.main(["validate", str(cfg)]) == cli.EXIT_GUARD
+        assert "out of memory" in capsys.readouterr().err
 
     def test_schema_subcommand(self, capsys):
         assert cli.main(["schema"]) == 0

@@ -1,15 +1,20 @@
 """Dirac algebra, kinematics, amplitude, and cross-section checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ssrqec.scatter import (GAMMA, CrossSectionResult, FourMomentum,
-                            PropagatorPoleError, amplitude_p_to_n,
-                            cm_kinematics, cm_momentum, dirac_u, make_amp2,
-                            sigma_tot, spin_summed_amp2,
-                            threshold_incident_energy, u_bar)
+from ssrqec.scatter import (GAMMA, GRID_CHUNK_ROWS, CrossSectionResult,
+                            FourMomentum, PropagatorPoleError,
+                            amplitude_p_to_n, check_energies, cm_kinematics,
+                            cm_momentum, dirac_u, make_amp2, sigma_tot,
+                            sigma_tot_grid, spin_summed_amp2,
+                            spin_summed_amp2_grid, threshold_incident_energy,
+                            u_bar)
 
 M_P, M_PHI, M_N, M_PI = 938.3, 500.0, 939.6, 139.6
 MASSES = (M_P, M_PHI, M_N, M_PI)
@@ -249,3 +254,139 @@ class TestCrossSection:
         amp2 = make_amp2(2200.0, MASSES, 1.0, 0.5, 2.0)
         res = sigma_tot(2200.0, MASSES, amp2)
         assert res.above_threshold and res.sigma > 0.0
+
+
+# Mass sets for the batched kernel: physical, a light scalar, the sweep's
+# masses, then three with m2 = 0, where the s-channel pole E = m1 lies
+# above threshold (two) or below it (last).
+MASS_SETS = [MASSES, (938.3, 1.0, 939.6, 139.6), (938.3, 10.0, 939.6, 139.6),
+             (938.3, 0.0, 1.0, 1.0), (1.0, 0.0, 1.0, 0.0),
+             (938.3, 0.0, 939.6, 139.6)]
+COS_THETA = st.sampled_from([-1.0, 1.0]) | st.floats(-1.0, 1.0)
+COUPLING = st.just(0.0) | st.floats(-2.0, 2.0).filter(lambda g: abs(g) >= 1e-3)
+
+
+def scalar_amp2(e_cm, masses, cos_theta, g1, g2, lam):
+    ks = cm_kinematics(e_cm, *masses, cos_theta=cos_theta)
+    return spin_summed_amp2(*ks, g1, g2, lam, m_p=masses[0], m_n=masses[2])
+
+
+def outcome(fn):
+    try:
+        fn()
+    except PropagatorPoleError as exc:
+        return ("pole", str(exc))
+    except ValueError as exc:
+        return ("value", str(exc))
+    return None
+
+
+class TestBatchedKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(masses=st.sampled_from(MASS_SETS[:3]), offset=st.floats(1e-3, 3000.0),
+           cos_theta=COS_THETA, g1=COUPLING, g2=COUPLING, lam=COUPLING)
+    def test_matches_scalar_path_and_trace_oracle(self, masses, offset, cos_theta,
+                                                  g1, g2, lam):
+        e_cm = max(masses[0] + masses[1], masses[2] + masses[3]) + offset
+        grid = spin_summed_amp2_grid([e_cm], [cos_theta], masses, g1, g2, lam)
+        assert grid.shape == (1, 1)
+        ref = scalar_amp2(e_cm, masses, cos_theta, g1, g2, lam)
+        assert grid[0, 0] == pytest.approx(ref, rel=1e-12, abs=0.0)
+        ks = cm_kinematics(e_cm, *masses, cos_theta=cos_theta)
+        oracle = trace_amp2(*ks, g1, g2, lam, masses[0], masses[2])
+        assert grid[0, 0] == pytest.approx(oracle, rel=1e-6, abs=0.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(masses=st.sampled_from(MASS_SETS), anchor=st.integers(0, 2),
+           offset=st.floats(-1e-3, 1e-3) | st.floats(-50.0, 1e8),
+           cos_theta=COS_THETA)
+    @example(MASS_SETS[3], 2, 1e-4, 0.5)    # pole guard
+    @example(MASS_SETS[5], 2, 1e-4, 0.0)    # below threshold: conservation first
+    @example(MASS_SETS[4], 0, 1e6, 0.3)     # rounding puts k1 off shell
+    def test_raises_where_scalar_path_raises(self, masses, anchor, offset,
+                                             cos_theta):
+        # anchors: initial-state threshold, final-state threshold, the pole
+        m1, m2, m3, m4 = masses
+        e_cm = (m1 + m2, m3 + m4, m1)[anchor] + offset
+        if e_cm <= 0.0:
+            return
+        want = outcome(lambda: scalar_amp2(e_cm, masses, cos_theta, 0.7, 0.3, 1.0))
+        got = outcome(lambda: spin_summed_amp2_grid([e_cm], [cos_theta], masses,
+                                                    0.7, 0.3, 1.0))
+        assert got == want
+
+    def test_grid_rows_match_scalar_loop(self):
+        e = np.linspace(1500.0, 2600.0, 7)
+        nodes = np.array([-1.0, -0.4, 0.0, 0.3, 1.0])
+        grid = spin_summed_amp2_grid(e, nodes, MASSES, 0.9, 0.2, 1.1)
+        ref = [[scalar_amp2(x, MASSES, c, 0.9, 0.2, 1.1) for c in nodes] for x in e]
+        np.testing.assert_allclose(grid, ref, rtol=1e-12, atol=0.0)
+
+    def test_any_bad_row_raises(self):
+        light = MASS_SETS[1]
+        with pytest.raises(ValueError, match="not conserved"):  # below threshold
+            spin_summed_amp2_grid([1200.0, 1000.0], [0.0, 0.5], light, 1.0, 1.0, 1.0)
+        with pytest.raises(PropagatorPoleError, match="pole guard"):
+            spin_summed_amp2_grid([2000.0, 938.3001], [0.1], MASS_SETS[3], 1.0, 1.0, 1.0)
+
+    def test_make_amp2_is_one_point_of_the_grid(self):
+        amp2 = make_amp2(2000.0, MASSES, 0.9, 0.3, 1.0)
+        assert amp2(0.25) == spin_summed_amp2_grid([2000.0], [0.25], MASSES,
+                                                   0.9, 0.3, 1.0)[0, 0]
+
+
+class TestCrossSectionGrid:
+    LIGHT = (938.3, 10.0, 939.6, 139.6)
+
+    def test_refuses_invalid_initial_state(self):
+        with pytest.raises(ValueError, match="initial state"):
+            sigma_tot_grid([1000.0, 940.0], self.LIGHT, 1.0, 1.0, 1.0)
+
+    def test_chunk_invariance(self):
+        # 64 nodes: 256 energies a chunk, so 600 energies take 3 chunks
+        n_theta = 64
+        assert -(-600 // (GRID_CHUNK_ROWS // n_theta)) == 3
+        e = np.linspace(1100.0, 1400.0, 600)
+        grid = sigma_tot_grid(e, self.LIGHT, 0.6, 0.9, 1.1, n_theta)
+        for x, res in zip(e, grid):
+            alone = sigma_tot_grid([x], self.LIGHT, 0.6, 0.9, 1.1, n_theta)[0]
+            assert res.sigma == alone.sigma
+
+    def test_peak_memory_bounded_by_chunking(self):
+        bound = 64 * 2 ** 20
+        steps, n_theta = 2000, 512
+        e = np.linspace(1100.0, 1400.0, steps)
+        nodes = np.polynomial.legendre.leggauss(n_theta)[0]
+        tracemalloc.start()
+        try:
+            spin_summed_amp2_grid(e[:64], nodes, self.LIGHT, 0.6, 0.9, 1.1)
+            per_row = tracemalloc.get_traced_memory()[1] / (64 * n_theta)
+            tracemalloc.reset_peak()
+            sigma_tot_grid(e, self.LIGHT, 0.6, 0.9, 1.1, n_theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert per_row * steps * n_theta > bound     # one unchunked call would not fit
+        assert peak <= bound
+
+    def test_check_energies_matches_grid_refusals(self):
+        check_energies([950.0, 1500.0], self.LIGHT)
+        with pytest.raises(ValueError, match="initial state"):
+            check_energies([900.0, 1500.0], self.LIGHT)
+        pole = MASS_SETS[3]
+        e = [938.3001, 938.3002]
+        with pytest.raises(PropagatorPoleError) as exc:
+            check_energies(e, pole)
+        with pytest.raises(PropagatorPoleError) as grid_exc:
+            sigma_tot_grid(e, pole, 1.0, 1.0, 1.0)
+        assert str(exc.value) == str(grid_exc.value)
+        # below the final-state threshold the pole is never reached
+        check_energies([938.3001], (938.3, 0.0, 939.6, 139.6))
+
+    def test_check_energies_finds_pole_in_last_chunk(self):
+        pole = MASS_SETS[3]
+        e = np.full(GRID_CHUNK_ROWS + 1, 1500.0)
+        check_energies(e, pole)
+        e[-1] = 938.3001
+        with pytest.raises(PropagatorPoleError):
+            check_energies(e, pole)
