@@ -2,15 +2,19 @@
 
 Subcommands:
   run <config.json>       execute an experiment, write CSV/JSON outputs
-  validate <config.json>  schema and guard checks without execution
+  validate <config.json>  every check of ``run``, without executing it
   schema                  print the JSON schema for configs
 
-Exit codes: 0 success, 2 schema violation, 3 resource limit (a numeric
-guard refused the config or the run ran out of memory), 4 internal
-invariant breach.  CSV numbers use the shortest round-trip
-decimal representation of the underlying doubles, so reruns with the
-same seed are bitwise identical regardless of worker count
-(SSRQEC_THREADS caps parallelism).
+Each experiment is one ``Experiment`` record in ``EXPERIMENTS``.  Its
+``plan`` builds the typed inputs, and the domain code does the refusing.
+``validate`` is the schema check plus ``plan``; ``run`` adds the record's
+``run``, so the two agree on what is valid and exit with the same code.
+
+Exit codes: 0 success, 2 config error (schema, or a value the domain code
+refuses), 3 resource limit (a guard refused the config or the run ran out
+of memory), 4 internal invariant breach.  CSV numbers use the shortest
+round-trip decimal representation of the underlying doubles, so reruns with
+the same seed are bitwise identical.
 """
 
 from __future__ import annotations
@@ -18,17 +22,15 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import json
-import os
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
-import jsonschema
 import numpy as np
+from jsonschema import Draft202012Validator
+from jsonschema.exceptions import best_match
 
 from . import __version__
 from . import klcore, qcdcode, rotor, scatter, toriccode
@@ -39,181 +41,20 @@ EXIT_SCHEMA = 2
 EXIT_GUARD = 3
 EXIT_INVARIANT = 4
 
-_COMMON = {
-    "experiment": {"type": "string",
-                   "enum": ["kl-check", "rotor", "qcd-rates", "qcd-code",
-                            "xsec", "toric"]},
-    "seed": {"type": "integer", "minimum": 0, "maximum": 2 ** 64 - 1},
-    "output_dir": {"type": "string"},
-}
 
-_INTERCHANGE = {
-    "type": "object",
-    "properties": {
-        "dims": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-        "re": {"type": "array", "items": {"type": "number"}},
-        "im": {"type": "array", "items": {"type": "number"}},
-    },
-    "required": ["dims", "re", "im"],
-    "additionalProperties": False,
-}
-
-_PARAM_SCHEMAS = {
-    "kl-check": {
-        "type": "object",
-        "properties": {
-            "codewords": {"type": "array", "items": _INTERCHANGE, "minItems": 1},
-            "errors": {"type": "array", "items": _INTERCHANGE, "minItems": 1},
-            "tol": {"type": "number", "exclusiveMinimum": 0},
-        },
-        "required": ["codewords", "errors"],
-        "additionalProperties": False,
-    },
-    "rotor": {
-        "type": "object",
-        "properties": {
-            "q_max": {"type": "integer", "minimum": 1},
-            "w": {"type": "integer", "minimum": 0},
-            "profile": {"type": "string", "enum": ["uniform", "gaussian"]},
-            "n_g": {"type": "integer", "minimum": 1},
-            "logical_charges": {"type": "array",
-                                "items": {"type": "integer"},
-                                "minItems": 2, "maxItems": 2},
-            "error_side": {"type": "string", "enum": ["A", "B"]},
-            "error_charges": {"type": "array", "items": {"type": "integer"}},
-        },
-        "required": ["q_max", "w", "profile", "logical_charges",
-                     "error_side", "error_charges"],
-        "additionalProperties": False,
-    },
-    "qcd-rates": {
-        "type": "object",
-        "properties": {
-            "temperatures": {"type": "array",
-                             "items": {"type": "number", "exclusiveMinimum": 0}},
-            "energies": {"type": "array",
-                         "items": {"type": "number", "exclusiveMinimum": 0}},
-            "m_pi": {"type": "number", "exclusiveMinimum": 0},
-            "lambda_qcd": {"type": "number", "exclusiveMinimum": 0},
-            "m_w": {"type": "number", "exclusiveMinimum": 0},
-            "epsilon": {"type": "number", "exclusiveMinimum": 0},
-        },
-        "additionalProperties": False,
-    },
-    "qcd-code": {
-        "type": "object",
-        "properties": {
-            "n": {"type": "integer", "minimum": 1},
-            "p": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-            "trials": {"type": "integer", "minimum": 1},
-            "workers": {"type": "integer", "minimum": 1},
-        },
-        "required": ["n", "p", "trials"],
-        "additionalProperties": False,
-    },
-    "xsec": {
-        "type": "object",
-        "properties": {
-            "masses": {"type": "array", "items": {"type": "number", "minimum": 0},
-                       "minItems": 4, "maxItems": 4},
-            "g1": {"type": "number"},
-            "g2": {"type": "number"},
-            "lam": {"type": "number"},
-            "e_cm_min": {"type": "number", "exclusiveMinimum": 0},
-            "e_cm_max": {"type": "number", "exclusiveMinimum": 0},
-            "steps": {"type": "integer", "minimum": 1},
-            "n_theta": {"type": "integer", "minimum": 2},
-        },
-        "required": ["masses", "g1", "g2", "lam", "e_cm_min", "e_cm_max", "steps"],
-        "additionalProperties": False,
-    },
-    "toric": {
-        "type": "object",
-        "properties": {
-            "n": {"type": "integer", "minimum": 2},
-            "l": {"type": "integer", "minimum": 2},
-            "max_weight": {"type": "integer", "minimum": 1},
-            "tol": {"type": "number", "exclusiveMinimum": 0},
-        },
-        "required": ["n", "l"],
-        "additionalProperties": False,
-    },
-}
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "properties": {**_COMMON, "params": {"type": "object"}},
-    "required": ["experiment", "params"],
-    "additionalProperties": False,
-}
-
-_STOCHASTIC = {"qcd-code"}
-
-
-def config_schema() -> dict:
-    return {**CONFIG_SCHEMA, "param_schemas": _PARAM_SCHEMAS}
-
-
-def _schema_diags(config: dict) -> list[str]:
-    diags = []
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        return [f"schema: {exc.message}"]
-    exp = config["experiment"]
-    try:
-        jsonschema.validate(config["params"], _PARAM_SCHEMAS[exp])
-    except jsonschema.ValidationError as exc:
-        return [f"schema ({exp} params): {exc.message}"]
-    if exp in _STOCHASTIC and "seed" not in config:
-        diags.append(f"seed required for stochastic experiment {exp!r}")
-    p = config["params"]
-    if exp == "qcd-code" and p["n"] % 2 == 0:
-        diags.append("qcd-code requires odd n (even-n majority ties are rejected "
-                     "at encode time by design)")
-    if exp == "xsec":
-        if p["e_cm_min"] > p["e_cm_max"]:
-            diags.append("e_cm_min must not exceed e_cm_max")
-        try:
-            scatter.check_energies(_xsec_energies(p), tuple(p["masses"]))
-        except (ValueError, scatter.PropagatorPoleError) as exc:
-            diags.append(f"xsec energy grid: {exc}")
-    if exp == "rotor":
-        for q in p["logical_charges"]:
-            if abs(q) + p["w"] > p["q_max"]:
-                diags.append(f"rotor window w={p['w']} around logical charge {q} "
-                             f"exceeds q_max={p['q_max']} (needs |q| + w <= q_max)")
-        for q in p["error_charges"]:
-            if abs(q) > p["q_max"]:
-                diags.append(f"rotor error charge {q} outside truncation "
-                             f"|q| <= q_max={p['q_max']}")
-    return diags
-
-
-def _guard_diags(config: dict) -> list[str]:
-    p = config["params"]
-    if config["experiment"] == "toric":
-        refusal = toriccode.kl_guard(toriccode.TorusLattice(p["l"], p["n"]),
-                                     p.get("max_weight", 1))
-        if refusal:
-            return [f"guard: {refusal}"]
-    return []
-
-
-def validate(config: dict) -> list[str]:
-    """Schema plus guard checks without execution, as diagnostics.
-
-    Raises nothing but MemoryError (an ``xsec`` grid too large to hold)."""
-    diags = _schema_diags(config)
-    if diags and diags[0].startswith("schema"):
-        return diags
-    return diags + _guard_diags(config)
+class ConfigError(ValueError):
+    pass
 
 
 def _fmt(x) -> str:
     if isinstance(x, float):
         return repr(float(x))  # shortest round-trip decimal of the double
     return str(x)
+
+
+def _fmt_complex(z: complex) -> str:
+    re, im = float(z.real), float(z.imag)
+    return f"{re!r}{'+' if im >= 0 else '-'}{abs(im)!r}j"
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -233,41 +74,49 @@ def _sha256(path: Path) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Experiment implementations
+# Experiments: plan(params) -> planned inputs; run(planned, outdir, seed) ->
+# output files.  A plan raises ValueError (or PropagatorPoleError) for a
+# config error and GuardExceededError for a resource limit.
 
 
-def _run_kl_check(params: dict, outdir: Path, seed: Optional[int]) -> tuple[list, list]:
-    codewords = tuple(vector_from_json(v) for v in params["codewords"])
-    ops = tuple(operator_from_json(m) for m in params["errors"])
-    tol = params.get("tol", klcore.DEFAULT_KL_TOL)
-    report = klcore.kl_check(klcore.CodeSpace(codewords),
-                             klcore.ErrorSet(ops), tol)
+def _plan_kl_check(params: dict):
+    code = klcore.CodeSpace(tuple(vector_from_json(v) for v in params["codewords"]))
+    errors = klcore.ErrorSet(tuple(operator_from_json(m) for m in params["errors"]))
+    klcore.require_same_space(code, errors)
+    return code, errors, params.get("tol", klcore.DEFAULT_KL_TOL)
+
+
+def _run_kl_check(planned, outdir: Path, seed: Optional[int]) -> list[Path]:
     path = outdir / "kl_report.json"
-    _write_json(path, report.to_json())
-    return [path], []
+    _write_json(path, klcore.kl_check(*planned).to_json())
+    return [path]
 
 
-def _run_rotor(params: dict, outdir: Path, seed: Optional[int]) -> tuple[list, list]:
-    q_max, w = params["q_max"], params["w"]
-    space = rotor.RotorSpace(q_max)
+_ROTOR_AMP = 1.0 / np.sqrt(2.0)  # logical alpha = beta of the rotor experiment
+
+
+def _plan_rotor(params: dict):
+    space = rotor.RotorSpace(params["q_max"])
     q1, q2 = params["logical_charges"]
-    alpha = beta = 1.0 / np.sqrt(2.0)
-    w1, _ = rotor.build_codeword(space, space, q1, params["profile"], w)
-    w2, _ = rotor.build_codeword(space, space, q2, params["profile"], w)
-    psi = StateVector(w1.space, alpha * w1.amplitudes + beta * w2.amplitudes)
+    w1, _ = rotor.build_codeword(space, space, q1, params["profile"], params["w"])
+    w2, _ = rotor.build_codeword(space, space, q2, params["profile"], params["w"])
+    psi = StateVector(w1.space, _ROTOR_AMP * w1.amplitudes + _ROTOR_AMP * w2.amplitudes)
     for q in params["error_charges"]:
         psi = rotor.apply_phase_flip(psi, q, params["error_side"])
-    rows = []
-    for oc in rotor.enumerate_recovery(psi, (q1, q2)):
-        fid = rotor.logical_fidelity(oc.alpha, oc.beta, alpha, beta)
-        rows.append([oc.outcome, oc.probability, fid])
+    return psi, (q1, q2)
+
+
+def _run_rotor(planned, outdir: Path, seed: Optional[int]) -> list[Path]:
+    psi, charges = planned
+    rows = [[oc.outcome, oc.probability,
+             rotor.logical_fidelity(oc.alpha, oc.beta, _ROTOR_AMP, _ROTOR_AMP)]
+            for oc in rotor.enumerate_recovery(psi, charges)]
     path = outdir / "rotor_recovery.csv"
     _write_csv(path, ["outcome_q_tilde", "probability", "recovered_fidelity"], rows)
-    return [path], ["measurement relabeling: outcome-conditioned reinterpretation "
-                    "of the A register"]
+    return [path]
 
 
-def _run_qcd_rates(params: dict, outdir: Path, seed: Optional[int]) -> tuple[list, list]:
+def _run_qcd_rates(params: dict, outdir: Path, seed: Optional[int]) -> list[Path]:
     m_pi = params.get("m_pi", qcdcode.DEFAULTS.m_pi)
     lam = params.get("lambda_qcd", qcdcode.DEFAULTS.lambda_qcd)
     m_w = params.get("m_w", qcdcode.DEFAULTS.m_w)
@@ -284,41 +133,58 @@ def _run_qcd_rates(params: dict, outdir: Path, seed: Optional[int]) -> tuple[lis
         path = outdir / "sm_suppression.csv"
         _write_csv(path, ["energy_mev", "suppression"], rows)
         files.append(path)
-    return files, []
+    return files
 
 
-def _run_qcd_code(params: dict, outdir: Path, seed: Optional[int]) -> tuple[list, list]:
-    workers = params.get("workers", 1)
-    cap = os.environ.get("SSRQEC_THREADS")
-    if cap:
-        workers = min(workers, max(1, int(cap)))
-    est, stderr = qcdcode.logical_error_rate(
-        params["n"], params["p"], params["trials"], seed, workers=workers)
+def _plan_qcd_code(params: dict) -> dict:
+    if params["n"] % 2 == 0:
+        raise ValueError("n must be odd (even-n majority ties are rejected "
+                         "at encode time by design)")
+    return params
+
+
+def _run_qcd_code(params: dict, outdir: Path, seed: Optional[int]) -> list[Path]:
+    est, stderr = qcdcode.logical_error_rate(params["n"], params["p"],
+                                             params["trials"], seed)
     path = outdir / "logical_error_rate.csv"
     _write_csv(path, ["p", "n", "logical_rate", "stderr"],
                [[params["p"], params["n"], est, stderr]])
-    return [path], ["environment label discarded after momentum projection "
-                    "(separability assumption)",
-                    "neutron spontaneous decay (~15 min lifetime) treated as a "
-                    "coherence budget, not a simulated channel"]
+    return [path]
 
 
-def _xsec_energies(params: dict) -> np.ndarray:
-    return np.linspace(params["e_cm_min"], params["e_cm_max"], params["steps"])
+def _plan_xsec(params: dict):
+    if params["e_cm_min"] > params["e_cm_max"]:
+        raise ValueError("e_cm_min must not exceed e_cm_max")
+    n_theta = params.get("n_theta", 64)
+    if n_theta > scatter.MAX_N_THETA:
+        raise GuardExceededError(
+            f"n_theta = {n_theta} exceeds {scatter.MAX_N_THETA}: the quadrature "
+            f"nodes need an n_theta x n_theta eigenproblem")
+    energies = np.linspace(params["e_cm_min"], params["e_cm_max"], params["steps"])
+    masses = tuple(params["masses"])
+    scatter.check_energies(energies, masses, n_theta)
+    return energies, masses, params["g1"], params["g2"], params["lam"], n_theta
 
 
-def _run_xsec(params: dict, outdir: Path, seed: Optional[int]) -> tuple[list, list]:
-    results = scatter.sigma_tot_grid(_xsec_energies(params), tuple(params["masses"]),
-                                     params["g1"], params["g2"], params["lam"],
-                                     params.get("n_theta", 64))
-    rows = [[res.e_cm, res.sigma, res.above_threshold] for res in results]
+def _run_xsec(planned, outdir: Path, seed: Optional[int]) -> list[Path]:
+    rows = [[res.e_cm, res.sigma, res.above_threshold]
+            for res in scatter.sigma_tot_grid(*planned)]
     path = outdir / "cross_section.csv"
     _write_csv(path, ["e_cm_mev", "sigma_mev^-2", "above_threshold"], rows)
-    return [path], []
+    return [path]
 
 
-def _run_toric(params: dict, outdir: Path, seed: Optional[int]) -> tuple[list, list]:
+def _plan_toric(params: dict):
     lat = toriccode.TorusLattice(params["l"], params["n"])
+    max_weight = params.get("max_weight", 1)
+    refusal = toriccode.kl_guard(lat, max_weight)
+    if refusal:
+        raise GuardExceededError(refusal)
+    return lat, max_weight, params.get("tol", 1e-9)
+
+
+def _run_toric(planned, outdir: Path, seed: Optional[int]) -> list[Path]:
+    lat, max_weight, tol = planned
     rows = [[a, b, _fmt_complex(np.exp(2j * np.pi * a / lat.n)),
              _fmt_complex(np.exp(2j * np.pi * b / lat.n))]
             for (a, b) in toriccode.sector_labels(lat)]
@@ -326,55 +192,160 @@ def _run_toric(params: dict, outdir: Path, seed: Optional[int]) -> tuple[list, l
     _write_csv(sector_path, ["charge_a", "charge_b",
                              "wilson_electric_eigenvalue",
                              "wilson_magnetic_eigenvalue"], rows)
-    report = toriccode.kl_check_toric(lat, params.get("max_weight", 1),
-                                      params.get("tol", 1e-9))
     report_path = outdir / "kl_report.json"
-    _write_json(report_path, report.to_json())
-    return [sector_path, report_path], []
+    _write_json(report_path, toriccode.kl_check_toric(lat, max_weight, tol).to_json())
+    return [sector_path, report_path]
 
 
-def _fmt_complex(z: complex) -> str:
-    re, im = float(z.real), float(z.imag)
-    return f"{re!r}{'+' if im >= 0 else '-'}{abs(im)!r}j"
+class Experiment:
+    """One experiment: params schema, plan, run, seed requirement, notes."""
+
+    def __init__(self, schema: dict, plan: Callable[[dict], object],
+                 run: Callable[[object, Path, Optional[int]], list],
+                 stochastic: bool = False, notes: tuple[str, ...] = ()):
+        self.schema, self.plan, self.run = schema, plan, run
+        self.stochastic, self.notes = stochastic, notes
+        # compiled once; the schemas are checked against the metaschema by a test
+        self.validator = Draft202012Validator(schema)
 
 
-_RUNNERS = {
-    "kl-check": _run_kl_check,
-    "rotor": _run_rotor,
-    "qcd-rates": _run_qcd_rates,
-    "qcd-code": _run_qcd_code,
-    "xsec": _run_xsec,
-    "toric": _run_toric,
+def _object_schema(properties: dict, required: tuple[str, ...] = ()) -> dict:
+    schema = {"type": "object", "properties": properties,
+              "additionalProperties": False}
+    if required:
+        schema["required"] = list(required)
+    return schema
+
+
+# The envelope only: hilbert's parser checks dims and the re/im entries.
+_INTERCHANGE = _object_schema({"dims": {"type": "array"}, "re": {"type": "array"},
+                               "im": {"type": "array"}}, ("dims", "re", "im"))
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+
+EXPERIMENTS = {
+    "kl-check": Experiment(_object_schema({
+        "codewords": {"type": "array", "items": _INTERCHANGE, "minItems": 1},
+        "errors": {"type": "array", "items": _INTERCHANGE, "minItems": 1},
+        "tol": _POSITIVE,
+    }, ("codewords", "errors")), _plan_kl_check, _run_kl_check),
+    "rotor": Experiment(_object_schema({
+        "q_max": {"type": "integer", "minimum": 1},
+        "w": {"type": "integer", "minimum": 0},
+        "profile": {"type": "string", "enum": ["uniform", "gaussian"]},
+        "n_g": {"type": "integer", "minimum": 1},
+        "logical_charges": {"type": "array", "items": {"type": "integer"},
+                            "minItems": 2, "maxItems": 2, "uniqueItems": True},
+        "error_side": {"type": "string", "enum": ["A", "B"]},
+        "error_charges": {"type": "array", "items": {"type": "integer"}},
+    }, ("q_max", "w", "profile", "logical_charges", "error_side", "error_charges")),
+        _plan_rotor, _run_rotor,
+        notes=("measurement relabeling: outcome-conditioned reinterpretation "
+               "of the A register",)),
+    "qcd-rates": Experiment(_object_schema({
+        "temperatures": {"type": "array", "items": _POSITIVE},
+        "energies": {"type": "array", "items": _POSITIVE},
+        "m_pi": _POSITIVE, "lambda_qcd": _POSITIVE, "m_w": _POSITIVE,
+        "epsilon": _POSITIVE,
+    }), lambda params: params, _run_qcd_rates),
+    "qcd-code": Experiment(_object_schema({
+        "n": {"type": "integer", "minimum": 1},
+        "p": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
+        "trials": {"type": "integer", "minimum": 1},
+        "workers": {"type": "integer", "minimum": 1},  # accepted; has no effect
+    }, ("n", "p", "trials")), _plan_qcd_code, _run_qcd_code, stochastic=True,
+        notes=("environment label discarded after momentum projection "
+               "(separability assumption)",
+               "neutron spontaneous decay (~15 min lifetime) treated as a "
+               "coherence budget, not a simulated channel")),
+    "xsec": Experiment(_object_schema({
+        "masses": {"type": "array", "items": {"type": "number", "minimum": 0},
+                   "minItems": 4, "maxItems": 4},
+        "g1": {"type": "number"},
+        "g2": {"type": "number"},
+        "lam": {"type": "number"},
+        "e_cm_min": _POSITIVE,
+        "e_cm_max": _POSITIVE,
+        "steps": {"type": "integer", "minimum": 1},
+        "n_theta": {"type": "integer", "minimum": 2},
+    }, ("masses", "g1", "g2", "lam", "e_cm_min", "e_cm_max", "steps")),
+        _plan_xsec, _run_xsec),
+    "toric": Experiment(_object_schema({
+        "n": {"type": "integer", "minimum": 2},
+        "l": {"type": "integer", "minimum": 2},
+        "max_weight": {"type": "integer", "minimum": 1},
+        "tol": _POSITIVE,
+    }, ("n", "l")), _plan_toric, _run_toric),
 }
+
+CONFIG_SCHEMA = _object_schema({
+    "experiment": {"type": "string", "enum": list(EXPERIMENTS)},
+    "seed": {"type": "integer", "minimum": 0, "maximum": 2 ** 64 - 1},
+    "output_dir": {"type": "string"},
+    "params": {"type": "object"},
+}, ("experiment", "params"))
+_CONFIG_VALIDATOR = Draft202012Validator(CONFIG_SCHEMA)
+
+
+def config_schema() -> dict:
+    return {**CONFIG_SCHEMA,
+            "param_schemas": {name: e.schema for name, e in EXPERIMENTS.items()}}
+
+
+def _plan(config: dict) -> tuple[Experiment, object]:
+    """The config's experiment and planned inputs.
+
+    ConfigError for a schema violation, a missing seed or a value the plan
+    refuses; GuardExceededError when a guard refuses the config.
+    """
+    error = best_match(_CONFIG_VALIDATOR.iter_errors(config))
+    if error is not None:
+        raise ConfigError(f"schema: {error.message}")
+    name = config["experiment"]
+    experiment = EXPERIMENTS[name]
+    error = best_match(experiment.validator.iter_errors(config["params"]))
+    if error is not None:
+        raise ConfigError(f"schema ({name} params): {error.message}")
+    if experiment.stochastic and "seed" not in config:
+        raise ConfigError(f"seed required for stochastic experiment {name!r}")
+    try:
+        return experiment, experiment.plan(config["params"])
+    except (ValueError, scatter.PropagatorPoleError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
+def validate(config: dict) -> list[str]:
+    """Every check of ``run`` without executing the experiment.
+
+    Returns the refusal as a one-item list of diagnostics, or [] when
+    ``run`` would start.  A MemoryError while planning propagates."""
+    try:
+        _plan(config)
+    except ConfigError as exc:
+        return [str(exc)]
+    except GuardExceededError as exc:
+        return [f"guard: {exc}"]
+    return []
 
 
 def run(config: dict, output_dir: Optional[str] = None) -> dict:
-    """Execute a validated config; returns the RunReport dictionary."""
-    diags = _schema_diags(config)
-    if diags:
-        raise ConfigError("; ".join(diags))
-    guard = _guard_diags(config)
-    if guard:
-        raise GuardExceededError("; ".join(guard))
+    """Plan and execute a config; returns the RunReport dictionary.
+
+    Every refusal is raised before the output directory is created."""
+    experiment, planned = _plan(config)
     outdir = Path(output_dir or config.get("output_dir", "."))
     outdir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    files, notes = _RUNNERS[config["experiment"]](
-        config["params"], outdir, config.get("seed"))
+    files = experiment.run(planned, outdir, config.get("seed"))
     wall = time.perf_counter() - start
     report = {
         "config": config,
         "artifact_version": __version__,
         "wall_time_seconds": wall,
-        "assumption_notes": notes,
+        "assumption_notes": list(experiment.notes),
         "outputs": {p.name: _sha256(p) for p in files},
     }
     _write_json(outdir / "run_report.json", report)
     return report
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -399,18 +370,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
 
-    if args.command == "validate":
-        try:
-            diags = validate(config)
-        except MemoryError as exc:
-            print(f"error: out of memory: {exc}", file=sys.stderr)
-            return EXIT_GUARD
-        for d in diags:
-            print(d)
-        return 0 if not diags else EXIT_SCHEMA
-
     try:
-        report = run(config, str(args.output_dir) if args.output_dir else None)
+        if args.command == "validate":
+            _plan(config)
+        else:
+            report = run(config, str(args.output_dir) if args.output_dir else None)
     except ConfigError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
@@ -423,8 +387,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except Exception as exc:  # invariant breach or internal failure
         print(f"error: internal invariant breach: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    print(json.dumps({"outputs": report["outputs"],
-                      "wall_time_seconds": report["wall_time_seconds"]}))
+    if args.command == "run":
+        print(json.dumps({"outputs": report["outputs"],
+                          "wall_time_seconds": report["wall_time_seconds"]}))
     return 0
 
 

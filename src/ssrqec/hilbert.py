@@ -10,6 +10,7 @@ fixed once here and never revisited.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -252,13 +253,34 @@ def vector_to_json(psi: StateVector) -> dict:
             "re": a.real.tolist(), "im": a.imag.tolist()}
 
 
-def vector_from_json(obj: dict) -> StateVector:
-    space = ProductSpace(tuple(obj["dims"]))
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
-    if re.shape != im.shape:
+def _entries_from_json(obj, square: bool) -> tuple[ProductSpace, np.ndarray]:
+    """Space and entries of an interchange object; ValueError unless it is
+    well formed: keys dims, re, im only; positive int dims; re and im lists
+    of finite int/float of prod(dims) (vector) or prod(dims)**2 entries."""
+    if not isinstance(obj, dict) or set(obj) != {"dims", "re", "im"}:
+        raise ValueError("interchange object needs exactly the keys dims, re, im")
+    dims, re, im = obj["dims"], obj["re"], obj["im"]
+    if not isinstance(dims, list) or not all(type(d) is int and d >= 1 for d in dims):
+        raise ValueError(f"dims must be a list of positive ints, got {dims!r}")
+    if not (isinstance(re, list) and isinstance(im, list)
+            and set(map(type, re)) | set(map(type, im)) <= {int, float}):
+        raise ValueError("re and im must be lists of plain numbers")
+    if len(re) != len(im):
         raise ValueError("re and im arrays differ in length")
-    return StateVector(space, re + 1j * im)
+    size = math.prod(dims) ** (2 if square else 1)
+    if len(re) != size:
+        raise ValueError(f"{len(re)} entries where dims {dims} need {size}")
+    try:
+        parts = np.array([re, im], dtype=float)
+    except OverflowError as exc:
+        raise ValueError(f"re/im entry out of double range: {exc}") from None
+    if not np.isfinite(parts).all():
+        raise ValueError("re and im entries must be finite")
+    return ProductSpace(tuple(dims)), parts[0] + 1j * parts[1]
+
+
+def vector_from_json(obj: dict) -> StateVector:
+    return StateVector(*_entries_from_json(obj, square=False))
 
 
 def operator_to_json(op: Operator) -> dict:
@@ -268,11 +290,5 @@ def operator_to_json(op: Operator) -> dict:
 
 
 def operator_from_json(obj: dict) -> Operator:
-    space = ProductSpace(tuple(obj["dims"]))
-    d = space.dim
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
-    if re.shape != im.shape:
-        raise ValueError("re and im arrays differ in length")
-    m = (re + 1j * im).reshape(d, d)
-    return Operator(space, m)
+    space, entries = _entries_from_json(obj, square=True)
+    return Operator(space, entries.reshape(space.dim, space.dim))

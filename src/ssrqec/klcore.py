@@ -138,10 +138,15 @@ def report_from_elements(m: np.ndarray, tol: float) -> KLReport:
                     violations=tuple(violations), satisfied=satisfied, tol=tol)
 
 
-def kl_check(code: CodeSpace, errors: ErrorSet, tol: float = DEFAULT_KL_TOL) -> KLReport:
-    """Check <j|E_b^dag E_a|i> = C_ab delta_ij over all error pairs."""
+def require_same_space(code: CodeSpace, errors: ErrorSet) -> None:
+    """DimensionMismatchError unless the errors act on the code's space."""
     if errors.operators[0].space.dim != code.space.dim:
         raise DimensionMismatchError("errors and code live on different spaces")
+
+
+def kl_check(code: CodeSpace, errors: ErrorSet, tol: float = DEFAULT_KL_TOL) -> KLReport:
+    """Check <j|E_b^dag E_a|i> = C_ab delta_ij over all error pairs."""
+    require_same_space(code, errors)
     cw = code.matrix()                      # dim x K
     applied = np.stack([op.matrix @ cw for op in errors.operators])  # A x dim x K
     return kl_check_from_applied(applied, tol)

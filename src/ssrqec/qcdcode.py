@@ -457,7 +457,9 @@ def _block_flips(seed: int, block: int, rows: int, n: int, p: float) -> np.ndarr
     Rows are filled in order, so a partial block's rows equal the leading
     rows of the full block.
     """
-    rng = np.random.Generator(np.random.Philox(key=[seed, block]))
+    # a uint64 key: a list of Python ints above 2**63 would go through float64
+    key = np.array([seed, block], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
     return rng.random((rows, n)) < p
 
 
@@ -475,24 +477,14 @@ def _decode_failures(flips: np.ndarray) -> np.ndarray:
     return residual.all(axis=1)
 
 
-def _count_failures(seed: int, n: int, p: float, trials: int,
-                    blocks: range) -> int:
-    rows = _block_rows(n)
-    failures = 0
-    for b in blocks:
-        k = min(rows, trials - b * rows)
-        failures += int(_decode_failures(_block_flips(seed, b, k, n, p)).sum())
-    return failures
-
-
-def logical_error_rate(n: int, p: float, trials: int, seed: int,
-                       workers: int = 1) -> tuple[float, float]:
+def logical_error_rate(n: int, p: float, trials: int, seed: int
+                       ) -> tuple[float, float]:
     """Monte Carlo failure frequency of the full syndrome+decode cycle.
 
     Trials run in blocks of max(1, BLOCK_BITS // n) rows, so a block holds
     about BLOCK_BITS flip draws at any n.  Block b draws from a
-    counter-based Philox stream keyed by (seed, b), and workers take whole
-    blocks, so the estimate is bitwise independent of the worker count.
+    counter-based Philox stream keyed by (seed, b) for any seed in
+    [0, 2**64), so a trial's draws do not depend on the trial count.
     Returns (estimate, binomial standard error).
     """
     if n < 1 or n % 2 == 0:
@@ -502,18 +494,10 @@ def logical_error_rate(n: int, p: float, trials: int, seed: int,
     if trials < 1:
         raise ValueError("trials must be positive")
     rows = _block_rows(n)
-    n_blocks = (trials + rows - 1) // rows
-    workers = min(max(1, int(workers)), n_blocks)
-    if workers == 1:
-        failures = _count_failures(seed, n, p, trials, range(n_blocks))
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            failures = sum(pool.map(
-                lambda w: _count_failures(seed, n, p, trials,
-                                          range(w, n_blocks, workers)),
-                range(workers)))
+    failures = 0
+    for b in range((trials + rows - 1) // rows):
+        k = min(rows, trials - b * rows)
+        failures += int(_decode_failures(_block_flips(seed, b, k, n, p)).sum())
     est = failures / trials
     stderr = math.sqrt(max(est * (1 - est), 1e-300) / trials)
     return est, stderr

@@ -15,6 +15,7 @@ go in chunks of ``GRID_CHUNK_ROWS // n_theta`` energies (at least one), so
 the per-(energy, node) temporaries hold at most max(GRID_CHUNK_ROWS, n_theta)
 rows, about 12 MiB at n_theta <= 2**14.  On top of that come a few arrays of
 one value per energy and the Gauss-Legendre eigenproblem, O(n_theta^2).
+``check_energies`` runs every check of a sweep without its amplitudes.
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ DEFAULT_POLE_GUARD = 1.0  # MeV^2
 # (energy, node) rows per spin_summed_amp2_grid call in sigma_tot_grid;
 # each row holds about 0.8 KiB of temporaries at the peak.
 GRID_CHUNK_ROWS = 2 ** 14
+# Largest n_theta an xsec config may ask for.  leggauss solves an
+# n_theta x n_theta eigenproblem: about 0.12 s at 1024, 0.64 s at 2048 and
+# 4.2 s at 4096 nodes on a 2-vCPU VM, and 2 GiB of matrix at 2**14.
+MAX_N_THETA = 2048
 # default conservation_tol (MeV) and relative shell_tol of the scalar path;
 # the batched kernel uses the same values
 _KINEMATIC_TOL = 1e-6
@@ -302,36 +307,12 @@ def _check_pole(den: np.ndarray, pole_guard: float) -> None:
                                   f"below pole guard {pole_guard}")
 
 
-def check_energies(e_values, masses: tuple[float, float, float, float]) -> None:
-    """Refuse a sweep before any amplitude is built, as sigma_tot_grid would.
-
-    ValueError if some E <= m1 + m2; PropagatorPoleError if some E above
-    threshold has |k^2 - m_p^2| < DEFAULT_POLE_GUARD.  Energies go in chunks
-    of GRID_CHUNK_ROWS, so the check needs no more memory than one chunk.
-    """
-    e = np.asarray(e_values, dtype=float)
+def _grid_kinematics(e: np.ndarray, c: np.ndarray,
+                     masses: tuple[float, float, float, float], pole_guard: float):
+    """Momenta k1, k = k1 + k2, k^2 - m_p^2, k3 and k4 of every (E, c) row,
+    for ``e`` of shape (E, 1) and ``c`` of shape (1, T), after the kinematic
+    checks of spin_summed_amp2_grid."""
     m1, m2, m3, m4 = masses
-    if np.any(e <= m1 + m2):
-        raise ValueError("invalid initial state: e_cm <= m1 + m2")
-    for lo in range(0, e.size, GRID_CHUNK_ROWS):
-        chunk = e[lo:lo + GRID_CHUNK_ROWS]
-        _check_pole(_initial_state(chunk, m1, m2)[2][chunk > m3 + m4],
-                    DEFAULT_POLE_GUARD)
-
-
-def spin_summed_amp2_grid(e_cm, cos_theta, masses: tuple[float, float, float, float],
-                          g1: float, g2: float, lam: float,
-                          pole_guard: float = DEFAULT_POLE_GUARD) -> np.ndarray:
-    """spin_summed_amp2 at cm_kinematics(E, *masses, c) for every E x c.
-
-    Returns an (E, T) array.  m_p = m1 and m_n = m3, as in make_amp2.  The
-    checks of the scalar path run on every row, in its order: energy-momentum
-    conservation (ValueError), the pole guard (PropagatorPoleError), then the
-    on-shell test of the proton and neutron spinors (ValueError).
-    """
-    m1, m2, m3, m4 = masses
-    e = np.asarray(e_cm, dtype=float)[:, None]
-    c = np.asarray(cos_theta, dtype=float)[None, :]
     k1, k, den = _initial_state(e, m1, m2)                     # (E, 1, ...)
     k_out = _cm_momenta(e, m3, m4)
     st = np.sqrt(np.maximum(0.0, 1.0 - c * c))
@@ -346,9 +327,26 @@ def spin_summed_amp2_grid(e_cm, cos_theta, masses: tuple[float, float, float, fl
         if off.any():
             raise ValueError(f"momentum off shell: p^2 = {float(p2[off][0])}, "
                              f"m^2 = {m * m}")
+    return k1, k, den, k3, k4
+
+
+def spin_summed_amp2_grid(e_cm, cos_theta, masses: tuple[float, float, float, float],
+                          g1: float, g2: float, lam: float,
+                          pole_guard: float = DEFAULT_POLE_GUARD) -> np.ndarray:
+    """spin_summed_amp2 at cm_kinematics(E, *masses, c) for every E x c.
+
+    Returns an (E, T) array.  m_p = m1 and m_n = m3, as in make_amp2.  The
+    checks of the scalar path run on every row, in its order: energy-momentum
+    conservation (ValueError), the pole guard (PropagatorPoleError), then the
+    on-shell test of the proton and neutron spinors (ValueError).
+    """
+    m1 = masses[0]
+    k1, k, den, k3, k4 = _grid_kinematics(np.asarray(e_cm, dtype=float)[:, None],
+                                          np.asarray(cos_theta, dtype=float)[None, :],
+                                          masses, pole_guard)
     vertex = _slash(k4, (-1j * g1) * _SLASH_G5) - g2 * GAMMA.g5
     propagator = 1j * (_slash(k) + m1 * np.eye(4)) / den[..., None, None]
-    u1, u3 = _spinors(k1, m1), _spinors(k3, m3)
+    u1, u3 = _spinors(k1, m1), _spinors(k3, masses[2])
     u3_bar = u3.conj().swapaxes(-1, -2) * GAMMA.g0.diagonal()  # u-bar; g0 diagonal
     amp = (-1j * lam) * (u3_bar @ vertex @ (propagator @ u1))  # (E, T, s3, s1)
     return (amp.real ** 2 + amp.imag ** 2).sum(axis=(-2, -1)) / 2.0
@@ -384,6 +382,12 @@ def _quadrature(e: np.ndarray, masses: tuple[float, float, float, float],
         * (_cm_momenta(ea, m3, m4) / _cm_momenta(ea, m1, m2)) * 2.0 * math.pi
     nodes, weights = np.polynomial.legendre.leggauss(n_theta)
     return above, prefactor, nodes, weights
+
+
+def _chunks(size: int, n_theta: int) -> list[slice]:
+    """Slices of ``size`` energies, GRID_CHUNK_ROWS // n_theta each (at least one)."""
+    per_chunk = max(1, GRID_CHUNK_ROWS // n_theta)
+    return [np.s_[lo:lo + per_chunk] for lo in range(0, size, per_chunk)]
 
 
 def _weighted_sum(weights, values):
@@ -427,15 +431,25 @@ def sigma_tot_grid(e_values, masses: tuple[float, float, float, float],
     above, prefactor, nodes, weights = _quadrature(e, masses, n_theta)
     ea = e[above]
     integral = np.empty(ea.shape)
-    per_chunk = max(1, GRID_CHUNK_ROWS // n_theta)
-    for lo in range(0, ea.size, per_chunk):
-        amp2 = spin_summed_amp2_grid(ea[lo:lo + per_chunk], nodes, masses,
-                                     g1, g2, lam)
-        integral[lo:lo + per_chunk] = _weighted_sum(weights, amp2.T)
+    for sl in _chunks(ea.size, n_theta):
+        amp2 = spin_summed_amp2_grid(ea[sl], nodes, masses, g1, g2, lam)
+        integral[sl] = _weighted_sum(weights, amp2.T)
     sigma = np.zeros(e.shape)
     sigma[above] = prefactor * integral
     return [CrossSectionResult(float(s), bool(a), float(x))
             for x, s, a in zip(e, sigma, above)]
+
+
+def check_energies(e_values, masses: tuple[float, float, float, float],
+                   n_theta: int = 64) -> None:
+    """Refuse a sweep before any amplitude is built, as sigma_tot_grid would:
+    the same checks on the same (energy, node) rows, in the same chunks, so
+    the check needs no more memory than one chunk."""
+    e = np.asarray(e_values, dtype=float)
+    above, _, nodes, _ = _quadrature(e, masses, n_theta)
+    ea = e[above]
+    for sl in _chunks(ea.size, n_theta):
+        _grid_kinematics(ea[sl, None], nodes[None, :], masses, DEFAULT_POLE_GUARD)
 
 
 def make_amp2(e_cm: float, masses: tuple[float, float, float, float],

@@ -162,7 +162,7 @@ def test_criterion_5_repetition_pipeline_and_monte_carlo():
                         assert abs(fid - 1.0) <= 1e-12
     for n in (3, 5):
         for p in (0.2, 0.1, 0.05):
-            est, se = logical_error_rate(n, p, 100_000, seed=2718, workers=8)
+            est, se = logical_error_rate(n, p, 100_000, seed=2718)
             assert abs(est - binomial_tail(n, p)) <= 3 * se + 1e-12
     report(5, "repetition pipeline exact on every branch; MC matches tail",
            time.perf_counter() - start, 120.0)

@@ -1,11 +1,18 @@
 """Runner layer: config validation, dispatch, reproducibility, exit codes."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssrqec import cli, rotor, scatter
 from ssrqec.hilbert import (ProductSpace, StateVector, apply, basis_state,
@@ -47,14 +54,40 @@ def rotor_config(**overrides):
 
 
 # Configs that run would refuse inside sigma_tot_grid: an initial state
-# below m1 + m2, and an energy above threshold within the pole guard.
+# below m1 + m2, an energy above threshold within the pole guard, and k1
+# off shell by rounding at E = 10^6 MeV.
 XSEC_REFUSED = {
     "initial state": xsec_config(e_cm_min=900.0),
     "pole guard": xsec_config(masses=[938.3, 0.0, 1.0, 1.0], e_cm_min=938.3001,
                               e_cm_max=938.3002, steps=3),
+    "momentum off shell": xsec_config(masses=[1.0, 0.0, 1.0, 0.0], e_cm_min=1e6,
+                                      e_cm_max=1e6, steps=1),
 }
-REFUSED_BEFORE_RUN = {**XSEC_REFUSED,
-                      "rotor charge": rotor_config(q_max=4, error_charges=[7])}
+
+
+def kl_config(codewords, errors):
+    return {"experiment": "kl-check",
+            "params": {"codewords": codewords, "errors": errors}}
+
+
+def interchange(dims, re, im=None):
+    return {"dims": dims, "re": re, "im": [0.0] * len(re) if im is None else im}
+
+
+E0, E1 = interchange([2], [1.0, 0.0]), interchange([2], [0.0, 1.0])
+ID2 = interchange([2], [1.0, 0.0, 0.0, 1.0])
+REFUSED_BEFORE_RUN = {
+    **XSEC_REFUSED,
+    "rotor charge": rotor_config(q_max=4, error_charges=[7]),
+    "rotor equal logical charges": rotor_config(logical_charges=[1, 1]),
+    "kl re longer than dims": kl_config([interchange([2], [1.0, 0.0, 0.0]), E1], [ID2]),
+    "kl re/im lengths differ": kl_config([interchange([2], [1.0, 0.0], [0.0]), E1],
+                                         [ID2]),
+    "kl error dims differ": kl_config([E0, E1], [interchange([3], [1.0] + [0.0] * 8)]),
+    "kl codewords on different spaces": kl_config(
+        [E0, interchange([3], [0.0, 1.0, 0.0])], [ID2]),
+    "kl zero codeword": kl_config([E0, interchange([2], [0.0, 0.0])], [ID2]),
+}
 
 
 class TestValidate:
@@ -291,13 +324,22 @@ class TestMainExitCodes:
         assert cli.main(["run", str(cfg)]) == cli.EXIT_SCHEMA
 
     def test_guard_exceeded_exit_3(self, tmp_path, capsys):
-        for name, params in (("a", {"n": 3, "l": 2, "max_weight": 2}),
-                             ("b", {"n": 2, "l": 3, "max_weight": 2})):
-            cfg = write_config(tmp_path, {"experiment": "toric", "params": params},
-                               f"{name}.json")
+        def toric(n, l, w):
+            return {"experiment": "toric", "params": {"n": n, "l": l, "max_weight": w}}
+        for name, config in (("a", toric(3, 2, 2)), ("b", toric(2, 3, 2)),
+                             ("c", xsec_config(n_theta=2 ** 14))):
+            cfg = write_config(tmp_path, config, f"{name}.json")
+            assert cli.main(["validate", str(cfg)]) == cli.EXIT_GUARD
             assert cli.main(["run", str(cfg), "--output-dir",
                              str(tmp_path / name)]) == cli.EXIT_GUARD
             assert not (tmp_path / name).exists()
+
+    def test_largest_seed_runs(self, tmp_path, capsys):
+        cfg = qcd_config(trials=500)
+        cfg["seed"] = 2 ** 64 - 1
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["validate", str(path)]) == 0
+        assert cli.main(["run", str(path), "--output-dir", str(tmp_path / "o")]) == 0
 
     def test_validate_subcommand(self, tmp_path, capsys):
         cfg = write_config(tmp_path, qcd_config())
@@ -323,14 +365,14 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("exc, code", [(MemoryError, cli.EXIT_GUARD),
                                            (RuntimeError, cli.EXIT_INVARIANT)])
     def test_runner_failure_exit_code(self, tmp_path, capsys, monkeypatch, exc, code):
-        def fail(params, outdir, seed):
+        def fail(planned, outdir, seed):
             raise exc("boom")
-        monkeypatch.setitem(cli._RUNNERS, "rotor", fail)
+        monkeypatch.setattr(cli.EXPERIMENTS["rotor"], "run", fail)
         cfg = write_config(tmp_path, rotor_config())
         assert cli.main(["run", str(cfg), "--output-dir", str(tmp_path / "o")]) == code
 
     def test_validate_out_of_memory_exit_3(self, tmp_path, capsys, monkeypatch):
-        def fail(e_values, masses):
+        def fail(e_values, masses, n_theta):
             raise MemoryError("boom")
         monkeypatch.setattr(cli.scatter, "check_energies", fail)
         cfg = write_config(tmp_path, xsec_config())
@@ -344,3 +386,137 @@ class TestMainExitCodes:
 
     def test_unreadable_config(self, tmp_path, capsys):
         assert cli.main(["run", str(tmp_path / "missing.json")]) == cli.EXIT_SCHEMA
+
+
+class TestRegistry:
+    def test_every_schema_is_valid_against_its_metaschema(self):
+        jsonschema.Draft202012Validator.check_schema(cli.CONFIG_SCHEMA)
+        for experiment in cli.EXPERIMENTS.values():
+            jsonschema.Draft202012Validator.check_schema(experiment.schema)
+
+    def test_schema_subcommand_lists_the_registry(self):
+        names = cli.CONFIG_SCHEMA["properties"]["experiment"]["enum"]
+        assert names == list(cli.EXPERIMENTS)
+        assert cli.config_schema()["param_schemas"] == {
+            name: e.schema for name, e in cli.EXPERIMENTS.items()}
+
+
+# --- differential fuzz: validate and run agree --------------------------------
+# Small generated configs of every experiment, valid and not; the ranges
+# straddle each schema bound and each refusal of the plans.
+
+_floats = st.floats(-0.5, 2.0)
+
+
+@st.composite
+def _mostly(draw, valid, invalid):
+    """Mostly valid values, so that most configs reach the plans."""
+    return draw(invalid if draw(st.integers(0, 5)) == 5 else valid)
+
+
+def _basis(d, i):
+    return interchange([d], [1.0 if k == i % d else 0.0 for k in range(d)])
+
+
+@st.composite
+def _kl_params(draw):
+    d = draw(st.integers(1, 3))
+    words = [_basis(d, i) for i in draw(st.lists(st.integers(0, 2), min_size=1,
+                                                   max_size=2))]
+    errors = [interchange([d], draw(st.lists(st.sampled_from([0.0, 1.0, -1.0, 0.5]),
+                                             min_size=d * d, max_size=d * d)))
+              for _ in range(draw(st.integers(1, 2)))]
+    fault = draw(_mostly(st.none(), st.sampled_from(
+        ["long", "im", "error dims", "word dims", "zero", "bool", "null"])))
+    w, e = words[0], errors[0]
+    if fault == "long":
+        w["re"].append(0.0)
+    elif fault == "im":
+        w["im"].pop()
+    elif fault == "error dims":
+        errors[0] = interchange([d + 1], [0.0] * (d + 1) ** 2)
+    elif fault == "word dims":
+        words.append(_basis(d + 1, 0))
+    elif fault == "zero":
+        w["re"] = [0.0] * d
+    elif fault in ("bool", "null"):
+        e["re"][0] = True if fault == "bool" else None
+    params = {"codewords": words, "errors": errors}
+    if draw(st.booleans()):
+        params["tol"] = draw(st.sampled_from([0.0, 1e-9, 0.5]))
+    return params
+
+
+def _positive(hi):
+    return _mostly(st.floats(0.5, hi), st.sampled_from([0.0, -1.0]))
+
+
+_XSEC_MASSES = [938.3, 10.0, 939.6, 139.6]
+_PARAMS = {
+    "kl-check": _kl_params(),
+    "rotor": st.fixed_dictionaries({
+        "q_max": _mostly(st.integers(1, 4), st.just(0)),
+        "w": _mostly(st.integers(0, 3), st.just(-1)),
+        "profile": _mostly(st.sampled_from(["uniform", "gaussian"]), st.just("flat")),
+        "logical_charges": _mostly(st.lists(st.integers(-3, 3), min_size=2, max_size=2,
+                                            unique=True),
+                                   st.lists(st.integers(-3, 3), max_size=3)),
+        "error_side": _mostly(st.sampled_from(["A", "B"]), st.just("C")),
+        "error_charges": st.lists(st.integers(-5, 5), max_size=3),
+    }, optional={"n_g": _mostly(st.integers(1, 5), st.just(0))}),
+    "qcd-rates": st.fixed_dictionaries({}, optional={
+        "temperatures": st.lists(_positive(300.0), max_size=3),
+        "energies": st.lists(_positive(1e3), max_size=3),
+        "m_pi": _positive(500.0), "lambda_qcd": _positive(500.0),
+        "m_w": _positive(1e5), "epsilon": _positive(5.0)}),
+    "qcd-code": st.fixed_dictionaries({
+        "n": _mostly(st.integers(1, 7), st.just(0)),
+        "p": _mostly(st.floats(0.01, 0.99), st.sampled_from([0.0, 1.0])),
+        "trials": _mostly(st.integers(1, 300), st.just(0)),
+    }, optional={"workers": _mostly(st.integers(1, 4), st.just(0))}),
+    "xsec": st.fixed_dictionaries({
+        "masses": _mostly(st.just(_XSEC_MASSES), st.lists(
+            st.sampled_from([0.0, 1.0, 10.0, 139.6, 938.3, 939.6]), min_size=3,
+            max_size=5)),
+        "g1": _floats, "g2": _floats, "lam": _floats,
+        "e_cm_min": _mostly(st.sampled_from([950.0, 1079.2, 1100.0]),
+                            st.sampled_from([0.0, 1.0, 900.0, 938.3001, 1e6])),
+        "e_cm_max": _mostly(st.sampled_from([1079.2, 1400.0]),
+                            st.sampled_from([938.3002, 1e6])),
+        "steps": _mostly(st.integers(1, 5), st.just(0)),
+    }, optional={"n_theta": _mostly(st.sampled_from([2, 3, 16]),
+                                    st.sampled_from([1, 2 ** 14]))}),
+    "toric": st.fixed_dictionaries({
+        "n": _mostly(st.integers(2, 3), st.just(1)),
+        "l": _mostly(st.integers(2, 3), st.just(1)),
+    }, optional={"max_weight": _mostly(st.integers(1, 2), st.sampled_from([0, 3])),
+                 "tol": st.sampled_from([0.0, 1e-9])}),
+}
+
+
+@st.composite
+def configs(draw):
+    name = draw(st.sampled_from(sorted(_PARAMS)))
+    config = {"experiment": name, "params": draw(_PARAMS[name])}
+    seed = draw(_mostly(st.one_of(st.integers(0, 10), st.just(2 ** 64 - 1)),
+                        st.sampled_from([None, -1, 2 ** 64])))
+    if seed is not None:
+        config["seed"] = seed
+    return config
+
+
+@settings(max_examples=300, deadline=None)
+@given(configs())
+def test_validate_and_run_agree(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "config.json", Path(tmp) / "out"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            checked = cli.main(["validate", str(path)])
+            ran = cli.main(["run", str(path), "--output-dir", str(out)])
+        assert checked in (0, cli.EXIT_SCHEMA, cli.EXIT_GUARD), err.getvalue()
+        if checked == 0:
+            assert ran in (0, cli.EXIT_GUARD), err.getvalue()
+        else:
+            assert ran == checked and not out.exists(), err.getvalue()

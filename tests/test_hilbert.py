@@ -1,7 +1,10 @@
 """Linear-algebra layer: product spaces, states, operators, reductions."""
 
+import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssrqec.hilbert import (DensityMatrix, DimensionMismatchError,
                             NormalizationError, Operator, ProductSpace,
@@ -191,3 +194,68 @@ class TestJsonInterchange:
         op = Operator(ProductSpace((2, 2)), m)
         back = operator_from_json(operator_to_json(op))
         np.testing.assert_allclose(back.dense(), m)
+
+
+# The interchange schema the CLI applied item by item before the hilbert
+# parser owned the format; kept as the oracle of what must be refused.
+OLD_INTERCHANGE = jsonschema.Draft202012Validator({
+    "type": "object",
+    "properties": {
+        "dims": {"type": "array", "items": {"type": "integer", "minimum": 1}},
+        "re": {"type": "array", "items": {"type": "number"}},
+        "im": {"type": "array", "items": {"type": "number"}},
+    },
+    "required": ["dims", "re", "im"],
+    "additionalProperties": False,
+})
+
+JSON_ODDITIES = st.one_of(st.none(), st.booleans(), st.text(max_size=2),
+                          st.lists(st.floats(-1, 1), max_size=2),
+                          st.integers(2 ** 63, 2 ** 1100))
+NUMBERS = st.one_of(st.floats(-2, 2), st.integers(-2, 2),
+                    st.sampled_from([float("nan"), float("inf"), 1e308]))
+
+
+@st.composite
+def interchange_objects(draw):
+    d = draw(st.integers(1, 3))
+    square = draw(st.booleans())
+    n = d * d if square else d
+    sizes = st.sampled_from([n, n, n - 1, n + 1])
+    item = st.one_of(NUMBERS, NUMBERS, NUMBERS, JSON_ODDITIES)
+    obj = {"dims": draw(st.one_of(st.just([d]), st.lists(
+               st.one_of(st.integers(-1, 3), JSON_ODDITIES), max_size=2))),
+           "re": draw(st.lists(item, min_size=draw(sizes), max_size=n + 1)),
+           "im": draw(st.lists(item, min_size=draw(sizes), max_size=n + 1))}
+    for key in draw(st.lists(st.sampled_from(["dims", "re", "im"]), max_size=1)):
+        del obj[key]
+    if draw(st.integers(0, 9)) == 0:
+        obj["extra"] = 0
+    return obj
+
+
+class TestJsonInterchangeRefusals:
+    @settings(max_examples=300, deadline=None)
+    @given(interchange_objects())
+    def test_refuses_whatever_the_old_schema_refused(self, obj):
+        for parse in (vector_from_json, operator_from_json):
+            try:
+                parse(obj)
+                refused = False
+            except ValueError:
+                refused = True
+            assert refused or OLD_INTERCHANGE.is_valid(obj), (parse.__name__, obj)
+
+    @pytest.mark.parametrize("obj", [
+        {"dims": [2], "re": [1.0, True], "im": [0.0, 0.0]},
+        {"dims": [2], "re": [1.0, None], "im": [0.0, 0.0]},
+        {"dims": [2], "re": [1.0, [0.0]], "im": [0.0, 0.0]},
+        {"dims": [True, 2], "re": [1.0, 0.0], "im": [0.0, 0.0]},
+        {"dims": [2], "re": [1.0, 0.0, 0.0], "im": [0.0, 0.0, 0.0]},
+        {"dims": [2], "re": [1.0, 0.0], "im": [0.0]},
+        {"dims": [2], "re": [1.0, float("nan")], "im": [0.0, 0.0]},
+        {"dims": [2], "re": [1.0, 10 ** 400], "im": [0.0, 0.0]},
+    ])
+    def test_malformed_vector_rejected(self, obj):
+        with pytest.raises(ValueError):
+            vector_from_json(obj)

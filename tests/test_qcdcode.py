@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -383,10 +384,18 @@ class TestMonteCarlo:
         est, se = logical_error_rate(1, 0.3, 40000, seed=7)
         assert abs(est - 0.3) < 4 * se
 
-    def test_worker_count_invariance(self):
-        results = {logical_error_rate(5, 0.1, 4000, seed=3, workers=w)
-                   for w in (1, 2, 8)}
-        assert len(results) == 1
+    def test_seeds_above_2_63_are_distinct(self):
+        # a list key [seed, block] went through float64 above 2**63, so these
+        # three seeds all gave 0.207; 2**64 - 1 warned on the cast
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ests = [logical_error_rate(3, 0.3, 2000, seed=s)[0]
+                    for s in (2 ** 63 + 5, 2 ** 63 + 6, 2 ** 63 + 1000, 2 ** 64 - 1)]
+        assert len(set(ests)) == len(ests)
+
+    def test_seeds_below_2_63_unchanged(self):
+        assert logical_error_rate(7, 0.2, 5000, seed=1) == (0.0306, 0.002435719195638118)
+        assert logical_error_rate(3, 0.3, 2000, seed=2 ** 63 - 1)[0] == 0.2085
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -435,17 +444,14 @@ class TestBlockDecoder:
 
 class TestBlockBoundaries:
     @staticmethod
-    def across_workers(n, p, trials, seed):
-        results = {logical_error_rate(n, p, trials, seed=seed, workers=w)
-                   for w in (1, 2, 8)}
-        assert len(results) == 1
-        return results.pop()
+    def estimate(n, p, trials, seed):
+        return logical_error_rate(n, p, trials, seed=seed)
 
     def test_partial_last_block(self):
         n = 5
         rows = qcdcode._block_rows(n)
         trials = 2 * rows + 17
-        est, _ = self.across_workers(n, 0.2, trials, seed=11)
+        est, _ = self.estimate(n, 0.2, trials, seed=11)
         failures = sum(
             int(qcdcode._decode_failures(
                 qcdcode._block_flips(11, b, min(rows, trials - b * rows),
@@ -456,12 +462,14 @@ class TestBlockBoundaries:
     def test_more_workers_than_blocks(self):
         n = 3
         assert 100 < qcdcode._block_rows(n)
-        self.across_workers(n, 0.3, 100, seed=5)
+        est, _ = self.estimate(n, 0.3, 100, seed=5)
+        assert est == qcdcode._decode_failures(
+            qcdcode._block_flips(5, 0, 100, n, 0.3)).sum() / 100
 
     def test_one_trial_per_block(self):
         n = qcdcode.BLOCK_BITS + 1
         assert qcdcode._block_rows(n) == 1
-        est, _ = self.across_workers(n, 0.5, 5, seed=2)
+        est, _ = self.estimate(n, 0.5, 5, seed=2)
         want = sum(int(qcdcode._block_flips(2, b, 1, n, 0.5).sum() > n // 2)
                    for b in range(5))
         assert est == want / 5

@@ -364,10 +364,13 @@ class TestCrossSectionGrid:
             tracemalloc.reset_peak()
             sigma_tot_grid(e, self.LIGHT, 0.6, 0.9, 1.1, n_theta)
             peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            check_energies(e, self.LIGHT, n_theta)
+            check_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert per_row * steps * n_theta > bound     # one unchunked call would not fit
-        assert peak <= bound
+        assert peak <= bound and check_peak <= bound
 
     def test_check_energies_matches_grid_refusals(self):
         check_energies([950.0, 1500.0], self.LIGHT)
@@ -382,6 +385,13 @@ class TestCrossSectionGrid:
         assert str(exc.value) == str(grid_exc.value)
         # below the final-state threshold the pole is never reached
         check_energies([938.3001], (938.3, 0.0, 939.6, 139.6))
+        # k1 off shell by rounding at E = 10^6, seen only at the nodes
+        shell = (1.0, 0.0, 1.0, 0.0)
+        with pytest.raises(ValueError, match="off shell") as exc:
+            check_energies([1e6], shell)
+        with pytest.raises(ValueError) as grid_exc:
+            sigma_tot_grid([1e6], shell, 1.0, 1.0, 1.0)
+        assert str(exc.value) == str(grid_exc.value)
 
     def test_check_energies_finds_pole_in_last_chunk(self):
         pole = MASS_SETS[3]
