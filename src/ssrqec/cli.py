@@ -93,9 +93,19 @@ def _run_kl_check(planned, outdir: Path, seed: Optional[int]) -> list[Path]:
 
 
 _ROTOR_AMP = 1.0 / np.sqrt(2.0)  # logical alpha = beta of the rotor experiment
+# Bytes a rotor plan or run may hold.  Its peak is five complex joint states
+# of (2 q_max + 1)^2 amplitudes: both codewords, their scaled copies and the
+# sum.
+ROTOR_MEMORY_BUDGET = 2 ** 30
+ROTOR_STATE_COPIES = 5
 
 
 def _plan_rotor(params: dict):
+    need = ROTOR_STATE_COPIES * 16 * (2 * params["q_max"] + 1) ** 2
+    if need > ROTOR_MEMORY_BUDGET:
+        raise GuardExceededError(
+            f"rotor joint states need {need / 2 ** 20:.0f} MiB and exceed the "
+            f"{ROTOR_MEMORY_BUDGET / 2 ** 20:.0f} MiB budget")
     space = rotor.RotorSpace(params["q_max"])
     q1, q2 = params["logical_charges"]
     w1, _ = rotor.build_codeword(space, space, q1, params["profile"], params["w"])

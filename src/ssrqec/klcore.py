@@ -109,11 +109,15 @@ class KLReport:
             "max_violation": self.max_violation,
             "verdict": self.verdict,
             "tol": self.tol,
-            "violations": [
-                {"a": a, "b": b, "i": i, "j": j,
-                 "deviation_re": dev.real, "deviation_im": dev.imag}
-                for (a, b, i, j, dev) in self.violations],
+            "violations": violations_to_json(self.violations),
         }
+
+
+def violations_to_json(violations) -> list[dict]:
+    """Recorded (a, b, i, j, deviation) entries as report JSON objects."""
+    return [{"a": a, "b": b, "i": i, "j": j,
+             "deviation_re": dev.real, "deviation_im": dev.imag}
+            for (a, b, i, j, dev) in violations]
 
 
 def report_from_elements(m: np.ndarray, tol: float) -> KLReport:

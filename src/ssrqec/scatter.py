@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -380,8 +381,18 @@ def _quadrature(e: np.ndarray, masses: tuple[float, float, float, float],
     ea = e[above]
     prefactor = (1.0 / (64.0 * math.pi ** 2 * ea ** 2)) \
         * (_cm_momenta(ea, m3, m4) / _cm_momenta(ea, m1, m2)) * 2.0 * math.pi
-    nodes, weights = np.polynomial.legendre.leggauss(n_theta)
+    nodes, weights = _gauss_legendre(n_theta)
     return above, prefactor, nodes, weights
+
+
+@lru_cache(maxsize=8)
+def _gauss_legendre(n_theta: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], solved once per n_theta
+    (an xsec plan checks the grid and its run integrates on the same nodes);
+    read-only, since every caller shares them."""
+    nodes, weights = np.polynomial.legendre.leggauss(n_theta)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _chunks(size: int, n_theta: int) -> list[slice]:

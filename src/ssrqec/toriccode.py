@@ -4,12 +4,16 @@ Qudit Paulis are kept symbolic (X/Z power vectors over edges plus a phase
 exponent of e^{i pi / N}), one at a time as ``QuditPauli`` or as rows of a
 ``PauliArray``.  Commutation phases, products and logical classes are
 answered by mod-N arithmetic on int arrays, so the KL check
-``kl_check_toric`` builds no state vector: a pair product E_b^dag E_a that
-fails to commute with a stabilizer has a zero block; one that commutes is
-e^{i pi phi / N} times a stabilizer times a product of Wilson loops, and
-acts on the sector basis |a, b> as a known monomial matrix of N-th roots of
-unity.  Its working set is a few (E, E, N^2, N^2) complex arrays, checked
-against ``KL_MEMORY_BUDGET`` before anything is allocated.
+``kl_check_toric`` builds no state vector and no matrix of pair elements.
+A pair product E_b^dag E_a commutes with every stabilizer iff E_a and E_b
+share a syndrome; it is then e^{i pi phi / N} times a stabilizer times a
+product of Wilson loops, and acts on the sector basis |a, b> as a known
+monomial matrix of N-th roots of unity.  So the KL conditions come down to
+one rule: errors with the same syndrome must share their logical powers
+(Knill-Laflamme, quant-ph/9604034; Gottesman, quant-ph/9705052).  C is kept
+as one block per syndrome class, and the bytes the check holds, predicted
+from the error count, are checked against ``KL_MEMORY_BUDGET`` before
+anything is enumerated.
 
 The sector basis has a fixed phase convention.  |0, 0> is the uniform sum
 over the orbit of |0...0> under the X-stabilizers and the x-winding
@@ -46,11 +50,12 @@ from .klcore import KLReport
 DESK_GUARD_DIM = 2 ** 20
 DEFAULT_ERROR_CAP = 10_000
 MAX_ENUM_WEIGHT = 2
-# Bytes the symbolic KL check may hold at once.  Three (E, E, N^2, N^2)
-# complex arrays are a safe upper bound on its peak: M plus, in
-# report_from_elements, the deviation and its float magnitudes.
+# Bytes the symbolic KL check may hold at once; at most KL_ROW_COPIES copies
+# of its xz rows and syndromes are alive, and it builds C KL_PAIR_CHUNK
+# error pairs at a time.
 KL_MEMORY_BUDGET = 2 ** 30
-KL_WORKING_SET_ARRAYS = 3
+KL_ROW_COPIES = 4
+KL_PAIR_CHUNK = 2 ** 14
 # Bytes of one chunk of enumerated error rows in ssr_exact_zero_check.
 SSR_CHUNK_BYTES = 2 ** 24
 
@@ -151,14 +156,6 @@ def pauli_mul(a: QuditPauli, b: QuditPauli) -> QuditPauli:
     return QuditPauli(x, z, n, a.phase + b.phase + 2 * cross)
 
 
-def pauli_adjoint(a: QuditPauli) -> QuditPauli:
-    n = a.n
-    cross = sum(za * xa for za, xa in zip(a.z_powers, a.x_powers))
-    x = tuple((-xa) % n for xa in a.x_powers)
-    z = tuple((-za) % n for za in a.z_powers)
-    return QuditPauli(x, z, n, -a.phase + 2 * cross)
-
-
 def commutation_exponent(a: QuditPauli, b: QuditPauli) -> int:
     """c with a b = w^c b a, from the symplectic form mod N."""
     n = a.n
@@ -206,15 +203,14 @@ def commutation_exponents(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return (a @ np.concatenate([-b[:, half:], b[:, :half]], axis=1).T) % n
 
 
-def pair_phases(errors: PauliArray) -> np.ndarray:
-    """phi[a, b] mod 2N, where E_b^dag E_a = e^{i pi phi / N} X^(x_a - x_b)
-    Z^(z_a - z_b) and phi = p_a - p_b + 2 z_b . (x_b - x_a)."""
+def pair_phases(errors: PauliArray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """phi mod 2N of each error pair (a, b) (index arrays that broadcast),
+    where E_b^dag E_a = e^{i pi phi / N} X^(x_a - x_b) Z^(z_a - z_b) and
+    phi = p_a - p_b + 2 z_b . (x_b - x_a)."""
     half = errors.xz.shape[1] // 2
     x, z = errors.xz[:, :half], errors.xz[:, half:]
-    zx = z @ x.T                                    # zx[b, a] = z_b . x_a
-    p = errors.phase
-    return (p[:, None] - p[None, :] + 2 * (np.diag(zx)[None, :] - zx.T)) \
-        % (2 * errors.n)
+    dot = np.einsum("...i,...i->...", z[b], x[b] - x[a])
+    return (errors.phase[a] - errors.phase[b] + 2 * dot) % (2 * errors.n)
 
 
 # ---------------------------------------------------------------------------
@@ -261,15 +257,6 @@ def apply_pauli(lat: TorusLattice, p: QuditPauli, vec: np.ndarray) -> np.ndarray
     out = np.zeros_like(vec, dtype=np.complex128)
     out[targets] = phases.reshape(phases.shape + (1,) * (vec.ndim - 1)) * vec
     return out
-
-
-def pauli_dense(lat: TorusLattice, p: QuditPauli) -> np.ndarray:
-    """Dense matrix, for small-lattice cross-checks only."""
-    targets, phases = pauli_permutation(lat, p)
-    d = lat.dim
-    m = np.zeros((d, d), dtype=np.complex128)
-    m[targets, np.arange(d)] = phases
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -451,18 +438,19 @@ def error_count(lat: TorusLattice, max_weight: int) -> int:
                for j in range(max_weight + 1))
 
 
-def _weight_chunks(lat: TorusLattice, weight: int, max_rows: int
-                   ) -> Iterator[np.ndarray]:
+def _weight_chunks(lat: TorusLattice, weight: int, max_rows: int,
+                   singles: Optional[np.ndarray] = None) -> Iterator[np.ndarray]:
     """xz rows of every Pauli of exactly ``weight``, in chunks.
 
-    Order: supports in lexicographic order, then the non-identity
-    single-qudit factors (x, z) of each support edge, x-major.  A chunk
-    holds whole supports and at most ``max_rows`` rows unless a single
-    support has more.
+    Order: supports in lexicographic order, then the single-qudit factors
+    (x, z) of each support edge, in ``singles`` order (default: every
+    non-identity factor, x-major).  A chunk holds whole supports and at most
+    ``max_rows`` rows unless a single support has more.
     """
     n, m = lat.n, lat.n_edges
-    singles = np.array([(x, z) for x in range(n) for z in range(n)
-                        if (x, z) != (0, 0)], dtype=np.int64)
+    if singles is None:
+        singles = np.array([(x, z) for x in range(n) for z in range(n)
+                            if (x, z) != (0, 0)], dtype=np.int64)
     factors = np.array(list(itertools.product(range(len(singles)), repeat=weight)),
                        dtype=np.intp)                   # (A, weight)
     supports = itertools.combinations(range(m), weight)
@@ -521,32 +509,95 @@ def kl_check_paulis(gs: GroundSpace, errors: Sequence[QuditPauli],
     return klcore.kl_check_from_applied(applied, tol)
 
 
-def kl_elements(lat: TorusLattice, errors: PauliArray) -> np.ndarray:
-    """M[a, b, i, j] = <j| E_b^dag E_a |i> on the sector basis, exactly.
+class SyndromeKLReport:
+    """Verdict and violation data of a KL check, with C as one (error
+    indices, block) pair per syndrome class; C is zero between classes.
+    A plain class: a dataclass would cost about 1 ms at every import."""
 
-    i and j index the sector basis in ``sector_labels`` order.  Since
-    commutation exponents are linear in xz, P_ab commutes with every
-    stabilizer iff E_a and E_b have the same syndrome, and its logical
-    powers (gamma, delta, alpha, beta) are differences of theirs.  Then
-    P_ab |s, t> = e^{i pi phi / N} w^(gamma s + beta (t - delta))
-    |s + alpha, t - delta>.
+    def __init__(self, n_errors: int, c_blocks: tuple, max_violation: float,
+                 violations: tuple, satisfied: bool, tol: float):
+        self.n_errors, self.c_blocks, self.violations = n_errors, c_blocks, violations
+        self.max_violation, self.satisfied, self.tol = max_violation, satisfied, tol
+        self.verdict = "satisfied" if satisfied else "violated"
+
+    def to_json(self) -> dict:
+        return {"n_errors": self.n_errors,
+                "c_blocks": [{"errors": e.tolist(), "re": c.real.tolist(),
+                              "im": c.imag.tolist()} for e, c in self.c_blocks],
+                "max_violation": self.max_violation, "verdict": self.verdict,
+                "tol": self.tol,
+                "violations": klcore.violations_to_json(self.violations)}
+
+
+def kl_check_errors(lat: TorusLattice, errors: PauliArray,
+                    tol: float = 1e-9) -> SyndromeKLReport:
+    """Exact KL check of a Pauli error set on the sector basis, by syndrome class.
+
+    Commutation exponents are linear in xz, so E_b^dag E_a commutes with
+    every stabilizer iff E_a and E_b have the same syndrome, and its
+    logical powers (gamma, delta, alpha, beta) are differences of theirs.
+    Then E_b^dag E_a |s, t> = e^{i pi phi / N} w^(gamma s + beta (t - delta))
+    |s + alpha, t - delta>.  So C_ab = e^{i pi phi / N} when E_a and E_b
+    share syndrome and logical powers, and 0 otherwise; a pair that shares
+    only its syndrome violates KL with N^2 deviation entries of modulus 1.
+    The first MAX_RECORDED_VIOLATIONS of those, in (a, b, i, j) order, are
+    recorded.
     """
     n, k = lat.n, lat.n * lat.n
     stabs = PauliArray.of(build_stabilizers(lat), n).xz
-    syndrome = commutation_exponents(errors.xz, stabs, n)
-    _, cls = np.unique(syndrome, axis=0, return_inverse=True)
+    _, cls = np.unique(commutation_exponents(errors.xz, stabs, n), axis=0,
+                       return_inverse=True)
     cls = cls.reshape(-1)
-    ea, eb = np.nonzero(cls[:, None] == cls[None, :])   # undetected pairs
     logical = commutation_exponents(errors.xz, _logical_probes(lat), n)
-    gamma, delta, alpha, beta = ((logical[ea] - logical[eb]) % n).T[:, :, None]
-    phi = pair_phases(errors)[ea, eb][:, None]
+    code = logical @ n ** np.arange(4)          # the logical powers as one int
+    members = np.argsort(cls, kind="stable")    # grouped by class, ascending
+    sizes = np.bincount(cls)
+    start = np.cumsum(sizes) - sizes
+    roots = np.exp(1j * np.pi * np.arange(2 * n) / n)
+    # the C blocks, row-major and back to back, KL_PAIR_CHUNK pairs at a time
+    offset = np.cumsum(sizes ** 2) - sizes ** 2
+    c = np.empty(int(sizes @ sizes), dtype=np.complex128)
+    for lo in range(0, c.size, KL_PAIR_CHUNK):
+        o = np.arange(lo, min(lo + KL_PAIR_CHUNK, c.size))
+        cl = np.searchsorted(offset, o, side="right") - 1
+        i, j = np.divmod(o - offset[cl], sizes[cl])
+        a, b = members[start[cl] + i], members[start[cl] + j]
+        c[o] = np.where(code[a] == code[b], roots[pair_phases(errors, a, b)], 0)
+    c_blocks = tuple((e, block.reshape(e.size, e.size)) for e, block in
+                     zip(np.split(members, start[1:]), np.split(c, offset[1:])))
+
+    grouped = code[members]
+    mixed = np.minimum.reduceat(grouped, start) != np.maximum.reduceat(grouped, start)
+    max_violation = 1.0 if mixed.any() else 0.0
+    # the first violating pairs in (a, b) order, enough to fill the record
+    need = -(-klcore.MAX_RECORDED_VIOLATIONS // k) if max_violation > tol else 0
+    pairs = []
+    for anchor in np.flatnonzero(mixed[cls])[:need]:
+        first = start[cls[anchor]]
+        group = members[first:first + sizes[cls[anchor]]]
+        pairs += [(anchor, b) for b in group[code[group] != code[anchor]]]
+    a, b = np.array(pairs[:need], dtype=np.intp).reshape(-1, 2).T
+    gamma, delta, alpha, beta = ((logical[a] - logical[b]) % n).T[:, :, None]
     s, t = np.divmod(np.arange(k), n)
-    expo = (phi + 2 * (gamma * s + beta * (t - delta))) % (2 * n)
+    expo = (pair_phases(errors, a, b)[:, None]
+            + 2 * (gamma * s + beta * (t - delta))) % (2 * n)
     target = ((s + alpha) % n) * n + (t - delta) % n
-    m = np.zeros((len(errors), len(errors), k, k), dtype=np.complex128)
-    m[ea[:, None], eb[:, None], np.arange(k), target] = \
-        np.exp(1j * np.pi * np.arange(2 * n) / n)[expo]
-    return m
+    violations = [(int(a[p]), int(b[p]), i, int(target[p, i]), complex(roots[expo[p, i]]))
+                  for p in range(len(a)) for i in range(k)]
+    return SyndromeKLReport(len(errors), c_blocks, max_violation,
+                            tuple(violations[:klcore.MAX_RECORDED_VIOLATIONS]),
+                            max_violation <= tol, tol)
+
+
+def kl_check_bytes(lat: TorusLattice, max_weight: int) -> int:
+    """Bytes ``kl_check_toric`` holds at most, in closed form from the error
+    count E: copies of the xz rows and syndromes (3 n_edges int64 per
+    error), the C blocks (at worst one class of all E errors, 16 E^2), and
+    one chunk of error pairs, each with four int64 rows of n_edges and a few
+    dozen scalars."""
+    count = error_count(lat, max_weight)
+    return (KL_ROW_COPIES * 24 * lat.n_edges * count + 16 * count ** 2
+            + min(count ** 2, KL_PAIR_CHUNK) * (32 * lat.n_edges + 256))
 
 
 def kl_guard(lat: TorusLattice, max_weight: int,
@@ -555,84 +606,24 @@ def kl_guard(lat: TorusLattice, max_weight: int,
     refusal = _enumeration_refusal(lat, max_weight, cap)
     if refusal:
         return refusal
-    count = error_count(lat, max_weight)
-    need = KL_WORKING_SET_ARRAYS * 16 * (count * lat.n ** 2) ** 2
+    need = kl_check_bytes(lat, max_weight)
     if need > KL_MEMORY_BUDGET:
-        return (f"KL working set {need / 2 ** 20:.0f} MiB ({count} errors, "
-                f"{lat.n ** 2} sectors) exceeds the "
+        return (f"KL check needs {need / 2 ** 20:.0f} MiB and exceeds the "
                 f"{KL_MEMORY_BUDGET / 2 ** 20:.0f} MiB budget")
     return None
 
 
 def kl_check_toric(lat: TorusLattice, max_weight: int, tol: float = 1e-9,
-                   cap: int = DEFAULT_ERROR_CAP) -> KLReport:
+                   cap: int = DEFAULT_ERROR_CAP) -> SyndromeKLReport:
     """Exact KL check of all Paulis of weight <= max_weight on the sector basis."""
     refusal = kl_guard(lat, max_weight, cap)
     if refusal:
         raise GuardExceededError(refusal)
-    m = kl_elements(lat, enumerate_pauli_errors(lat, max_weight, cap))
-    return klcore.report_from_elements(m, tol)
+    return kl_check_errors(lat, enumerate_pauli_errors(lat, max_weight, cap), tol)
 
 
 # ---------------------------------------------------------------------------
 # Symbolic SSR certificate
-
-
-def _rank_mod_p(rows: np.ndarray, p: int) -> int:
-    """Rank of an integer matrix over GF(p); p must be prime."""
-    m = rows % p
-    m = m.astype(np.int64).copy()
-    rank = 0
-    cols = m.shape[1]
-    for c in range(cols):
-        pivot = None
-        for r in range(rank, m.shape[0]):
-            if m[r, c] % p:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[[rank, pivot]] = m[[pivot, rank]]
-        inv = pow(int(m[rank, c]), p - 2, p)
-        m[rank] = (m[rank] * inv) % p
-        for r in range(m.shape[0]):
-            if r != rank and m[r, c] % p:
-                m[r] = (m[r] - m[r, c] * m[rank]) % p
-        rank += 1
-        if rank == m.shape[0]:
-            break
-    return rank
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    return all(n % k for k in range(2, int(math.isqrt(n)) + 1))
-
-
-def ssr_certificate(lat: TorusLattice, p: QuditPauli,
-                    stabilizers: Optional[Sequence[QuditPauli]] = None) -> str:
-    """Symbolic proof that every off-diagonal sector element of ``p`` is 0.
-
-    Returns 'detected' when p fails to commute with some stabilizer (then
-    every ground-space matrix element vanishes), 'stabilizer' when p lies
-    in the stabilizer group up to phase (then it acts as a scalar and all
-    off-diagonal elements vanish), or 'logical' otherwise.  Membership is
-    decided by rank over GF(N), so N must be prime.
-    """
-    if not _is_prime(lat.n):
-        raise ValueError("symbolic membership test requires prime N")
-    if stabilizers is None:
-        stabilizers = build_stabilizers(lat)
-    for s in stabilizers:
-        if commutation_exponent(p, s):
-            return "detected"
-    rows = np.array([list(s.x_powers) + list(s.z_powers) for s in stabilizers],
-                    dtype=np.int64)
-    vec = np.array(list(p.x_powers) + list(p.z_powers), dtype=np.int64)
-    if _rank_mod_p(rows, lat.n) == _rank_mod_p(np.vstack([rows, vec]), lat.n):
-        return "stabilizer"
-    return "logical"
 
 
 def logical_mask(lat: TorusLattice, xz: np.ndarray) -> np.ndarray:
@@ -652,11 +643,18 @@ def ssr_exact_zero_check(lat: TorusLattice, max_weight: Optional[int] = None
     """Certify that no Pauli of weight <= max_weight is a logical operator.
 
     Then <a|P|a'> = 0 for a != a' and every such P.  Weight defaults to
-    l - 1 (the code-distance bound).  Paulis are enumerated weight by
-    weight in chunks of at most ``SSR_CHUNK_BYTES`` of xz rows.
+    l - 1 (the code-distance bound).  The code is CSS: a Pauli commutes with
+    the stars through its Z part and with the plaquettes through its X
+    part, and its logical powers split the same way, so a logical Pauli has
+    a logical X part or Z part, and neither part outweighs it.  So only
+    X-only and Z-only Paulis are enumerated, 2 (N - 1)^w rows per support,
+    weight by weight in chunks of at most ``SSR_CHUNK_BYTES`` of xz rows.
     """
     w = max_weight if max_weight is not None else lat.l - 1
     max_rows = max(1, SSR_CHUNK_BYTES // (8 * 2 * lat.n_edges))
+    powers = np.arange(1, lat.n)
+    zeros = np.zeros_like(powers)
+    x_only, z_only = np.column_stack([powers, zeros]), np.column_stack([zeros, powers])
     return not any(logical_mask(lat, xz).any()
-                   for weight in range(1, w + 1)
-                   for xz in _weight_chunks(lat, weight, max_rows))
+                   for weight in range(1, w + 1) for singles in (x_only, z_only)
+                   for xz in _weight_chunks(lat, weight, max_rows, singles))

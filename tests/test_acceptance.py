@@ -28,10 +28,10 @@ from ssrqec.scatter import (cm_kinematics, cm_momentum, sigma_tot,
 from ssrqec.toriccode import (TorusLattice, apply_pauli,
                               enumerate_pauli_errors, ground_space,
                               kl_check_paulis, kl_check_toric, pauli_identity,
-                              sector_basis, ssr_certificate,
-                              ssr_exact_zero_check, wilson_loop)
+                              sector_basis, ssr_exact_zero_check, wilson_loop)
 
 from test_scatter import trace_amp2
+from toric_oracles import ssr_certificate
 
 INV_SQRT2 = 1 / math.sqrt(2)
 

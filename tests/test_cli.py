@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -125,9 +126,10 @@ class TestValidate:
         assert len(diags) == 1 and reason in diags[0]
 
     def test_toric_guard_diagnostic(self):
-        # guard on the bytes of the KL working set, not on N^(2 l^2)
-        for params in ({"n": 3, "l": 2, "max_weight": 2},
-                       {"n": 2, "l": 3, "max_weight": 2},
+        # guard on the bytes the KL check holds, the error cap and the weight
+        for params in ({"n": 3, "l": 3, "max_weight": 2},
+                       {"n": 2, "l": 5, "max_weight": 2},
+                       {"n": 4, "l": 3, "max_weight": 2},
                        {"n": 2, "l": 2, "max_weight": 3}):
             cfg = {"experiment": "toric", "params": params}
             assert any("guard" in d for d in cli.validate(cfg)), params
@@ -167,6 +169,17 @@ class TestRun:
         report = json.loads((tmp_path / "kl_report.json").read_text())
         assert report["verdict"] == "satisfied"
         assert report["max_violation"] == 0.0
+
+    @pytest.mark.parametrize("n,l,w", [(3, 2, 2), (2, 3, 2), (2, 4, 2), (2, 5, 1)])
+    def test_toric_verdict_follows_distance(self, tmp_path, n, l, w):
+        cfg = {"experiment": "toric", "params": {"n": n, "l": l, "max_weight": w}}
+        assert cli.validate(cfg) == []
+        cli.run(cfg, str(tmp_path))
+        report = json.loads((tmp_path / "kl_report.json").read_text())
+        assert (report["verdict"] == "satisfied") is (2 * w < l)
+        blocks = report["c_blocks"]
+        assert sorted(e for b in blocks for e in b["errors"]) == \
+            list(range(report["n_errors"]))
 
     def test_toric_report_bytes_reproducible(self, tmp_path):
         cfg = {"experiment": "toric", "params": {"n": 2, "l": 2, "max_weight": 2}}
@@ -277,6 +290,20 @@ class TestRun:
                 assert float(row[1]) == pytest.approx(ref.sigma, rel=1e-12, abs=0.0)
         assert rows[0][2] == "False" and rows[-1][2] == "True"
 
+    def test_xsec_solves_quadrature_once(self, tmp_path, monkeypatch):
+        calls = []
+        leggauss = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                            lambda n: calls.append(n) or leggauss(n))
+        scatter._gauss_legendre.cache_clear()
+        cfg = xsec_config(n_theta=257)
+        assert cli.validate(cfg) == []
+        report = cli.run(cfg, str(tmp_path))
+        assert calls == [257]
+        # bytes recorded when validate and run each solved for the nodes
+        assert report["outputs"]["cross_section.csv"] == \
+            "d3d75a9f1c810e5e128370e30872f9a6afa3863b143a1d0c5387323b3626c669"
+
     def test_qcd_rates_experiment(self, tmp_path):
         cfg = {"experiment": "qcd-rates",
                "params": {"temperatures": [14.0], "energies": [16.5]}}
@@ -326,13 +353,25 @@ class TestMainExitCodes:
     def test_guard_exceeded_exit_3(self, tmp_path, capsys):
         def toric(n, l, w):
             return {"experiment": "toric", "params": {"n": n, "l": l, "max_weight": w}}
-        for name, config in (("a", toric(3, 2, 2)), ("b", toric(2, 3, 2)),
-                             ("c", xsec_config(n_theta=2 ** 14))):
+        for name, config in (("a", toric(2, 5, 2)), ("b", toric(4, 3, 2)),
+                             ("c", xsec_config(n_theta=2 ** 14)),
+                             ("d", rotor_config(q_max=10 ** 5))):
             cfg = write_config(tmp_path, config, f"{name}.json")
             assert cli.main(["validate", str(cfg)]) == cli.EXIT_GUARD
             assert cli.main(["run", str(cfg), "--output-dir",
                              str(tmp_path / name)]) == cli.EXIT_GUARD
             assert not (tmp_path / name).exists()
+
+    def test_rotor_guard_refuses_before_allocating(self):
+        tracemalloc.start()
+        try:
+            diags = cli.validate(rotor_config(q_max=10 ** 5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(diags) == 1 and "guard" in diags[0]
+        assert peak < 2 ** 20
+        assert cli.validate(rotor_config(q_max=400, w=3)) == []
 
     def test_largest_seed_runs(self, tmp_path, capsys):
         cfg = qcd_config(trials=500)

@@ -123,7 +123,8 @@ class TestKlInvariances:
 
 def test_report_from_elements_allocates_under_1_7_m():
     # dev (one M) plus its magnitudes (half an M); no (E, E, k, k) scalar part
-    from ssrqec.toriccode import TorusLattice, enumerate_pauli_errors, kl_elements
+    from ssrqec.toriccode import TorusLattice, enumerate_pauli_errors
+    from toric_oracles import kl_elements
     lat = TorusLattice(2, 2)
     m = kl_elements(lat, enumerate_pauli_errors(lat, 2))
     tracemalloc.start()

@@ -1,24 +1,29 @@
 """Z_N toric code: symbolic Paulis, ground space, sectors, KL brute force."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ssrqec.klcore import CodeSpace, ErrorSet, ssr_sector_check
+from ssrqec import toriccode
+from ssrqec.klcore import (MAX_RECORDED_VIOLATIONS, CodeSpace, ErrorSet,
+                           ssr_sector_check)
 from ssrqec.hilbert import Operator, StateVector
 from ssrqec.toriccode import (GuardExceededError, PauliArray, QuditPauli,
-                              TorusLattice, _rank_mod_p, apply_pauli,
+                              TorusLattice, _weight_chunks, apply_pauli,
                               build_stabilizers, commutation_exponent,
                               commutation_exponents, enumerate_pauli_errors,
-                              error_count, ground_space, kl_check_paulis,
-                              kl_check_toric, kl_elements, logical_mask,
-                              pair_phases, pauli_adjoint, pauli_dense,
+                              error_count, ground_space, kl_check_bytes,
+                              kl_check_errors, kl_check_paulis,
+                              kl_check_toric, logical_mask, pair_phases,
                               pauli_identity, pauli_mul, sector_basis,
                               sector_labels, single_qudit_pauli,
-                              ssr_certificate, ssr_exact_zero_check,
-                              wilson_loop)
+                              ssr_exact_zero_check, wilson_loop)
+from toric_oracles import (_rank_mod_p, dense_c, kl_elements, oracle_report,
+                           pauli_adjoint, pauli_dense, ssr_certificate)
 
 LAT22 = TorusLattice(2, 2)   # l = 2, N = 2 (dim 2^8)
 LAT23 = TorusLattice(2, 3)   # l = 2, N = 3 (dim 3^8)
@@ -285,7 +290,7 @@ class TestPauliArrayAlgebra:
     @given(pauli_arrays())
     def test_pair_products_match_pauli_mul(self, sets):
         errors, _ = sets
-        phi = pair_phases(errors)
+        phi = pair_phases(errors, *np.indices((len(errors),) * 2))
         for a, ea in enumerate(errors):
             for b, eb in enumerate(errors):
                 want = pauli_mul(pauli_adjoint(eb), ea)
@@ -383,7 +388,7 @@ class TestSymbolicKl:
         ref = kl_check_paulis(sector_basis(ground_space(lat)),
                               enumerate_pauli_errors(lat, w))
         assert report.verdict == ref.verdict
-        np.testing.assert_allclose(report.c_matrix, ref.c_matrix, rtol=0,
+        np.testing.assert_allclose(dense_c(report), ref.c_matrix, rtol=0,
                                    atol=1e-9)
         assert report.max_violation == pytest.approx(ref.max_violation, abs=1e-9)
 
@@ -399,10 +404,87 @@ class TestSymbolicKl:
         assert report.satisfied and report.max_violation == 0.0
 
     def test_guard_refuses_before_allocating(self):
-        with pytest.raises(GuardExceededError, match="working set"):
-            kl_check_toric(TorusLattice(2, 3), 2)
-        with pytest.raises(GuardExceededError, match="weight"):
-            kl_check_toric(LAT22, 3)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GuardExceededError, match="budget"):
+                kl_check_toric(TorusLattice(3, 3), 2)
+            with pytest.raises(GuardExceededError, match="cap"):
+                kl_check_toric(TorusLattice(5, 2), 2)
+            with pytest.raises(GuardExceededError, match="cap"):
+                kl_check_toric(TorusLattice(3, 4), 2)
+            with pytest.raises(GuardExceededError, match="weight"):
+                kl_check_toric(LAT22, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+
+def violating_pairs_from_blocks(report):
+    """(a, b) of one syndrome class whose C entry is 0: their logical powers
+    differ."""
+    pairs = set()
+    for errors, block in report.c_blocks:
+        rows, cols = np.nonzero(block == 0)
+        pairs |= set(zip(errors[rows].tolist(), errors[cols].tolist()))
+    return pairs
+
+
+def assert_matches_oracle(lat, errors, tol=1e-9):
+    report = kl_check_errors(lat, errors, tol)
+    ref, dev = oracle_report(lat, errors, tol)
+    assert report.verdict == ref.verdict
+    assert report.n_errors == len(errors)
+    np.testing.assert_allclose(dense_c(report), ref.c_matrix, rtol=0, atol=1e-12)
+    assert report.max_violation == pytest.approx(ref.max_violation, abs=1e-12)
+    over = np.abs(dev) > tol
+    assert violating_pairs_from_blocks(report) == \
+        set(zip(*(x.tolist() for x in np.nonzero(over.any(axis=(2, 3))))))
+    # the first recorded entries in (a, b, i, j) order, equal to the oracle's
+    first = [tuple(x) for x in np.argwhere(over)[:MAX_RECORDED_VIOLATIONS].tolist()]
+    assert [v[:4] for v in report.violations] == first
+    for a, b, i, j, value in report.violations:
+        assert abs(value - dev[a, b, i, j]) <= 1e-12
+    return report
+
+
+class TestSyndromeClassKl:
+    @pytest.mark.parametrize("n,l,w", ORACLE_CASES + [(2, 3, 1)])
+    def test_matches_dense_oracle(self, n, l, w):
+        lat = TorusLattice(l, n)
+        assert_matches_oracle(lat, enumerate_pauli_errors(lat, w))
+
+    @pytest.mark.parametrize("lat", [LAT22, LAT23])
+    def test_phased_logicals_match_oracle(self, lat):
+        report = assert_matches_oracle(
+            lat, loaded_errors(lat, np.random.default_rng(40 + lat.n)))
+        assert not report.satisfied
+
+    def test_pair_chunks_do_not_change_c(self, monkeypatch):
+        errors = enumerate_pauli_errors(LAT22, 2)
+        whole = kl_check_errors(LAT22, errors)
+        monkeypatch.setattr(toriccode, "KL_PAIR_CHUNK", 7)
+        chunked = kl_check_errors(LAT22, errors)
+        assert len(whole.c_blocks) == len(chunked.c_blocks)
+        for (e1, c1), (e2, c2) in zip(whole.c_blocks, chunked.c_blocks):
+            np.testing.assert_array_equal(e1, e2)
+            np.testing.assert_array_equal(c1, c2)
+
+    def test_loose_tolerance_records_nothing(self):
+        report = kl_check_toric(LAT22, 1, tol=1.0)
+        assert report.satisfied and report.max_violation == 1.0
+        assert report.violations == ()
+
+    @pytest.mark.parametrize("n,l,w", [(2, 2, 2), (3, 2, 2), (2, 3, 2)])
+    def test_peak_within_guard_prediction(self, n, l, w):
+        lat = TorusLattice(l, n)
+        tracemalloc.start()
+        try:
+            kl_check_toric(lat, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= kl_check_bytes(lat, w)
 
 
 class TestCosetBasis:
@@ -436,6 +518,32 @@ class TestSymbolicSsr:
     def test_fails_at_weight_l(self):
         assert ssr_exact_zero_check(LAT32, 3) is False
         assert ssr_exact_zero_check(LAT22, 2) is False
+
+    @pytest.mark.parametrize("lat", [LAT22, LAT23, LAT32])
+    def test_logical_iff_x_or_z_part_is(self, lat):
+        # the CSS split behind ssr_exact_zero_check: P is undetected iff both
+        # parts are, and then logical iff one of them is
+        xz = loaded_errors(lat, np.random.default_rng(70 + lat.l), 150).xz
+        x_part, z_part = xz.copy(), xz.copy()
+        x_part[:, lat.n_edges:] = 0
+        z_part[:, :lat.n_edges] = 0
+        stabs = PauliArray.of(build_stabilizers(lat), lat.n).xz
+        undetected = ~commutation_exponents(xz, stabs, lat.n).any(axis=1)
+        mask = logical_mask(lat, xz)
+        assert mask.any() and not mask[undetected].all()
+        np.testing.assert_array_equal(
+            mask, undetected & (logical_mask(lat, x_part) | logical_mask(lat, z_part)))
+
+    @pytest.mark.parametrize("l,n", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
+    def test_css_split_matches_full_enumeration(self, l, n):
+        lat = TorusLattice(l, n)
+
+        def full(w):
+            return not any(logical_mask(lat, xz).any() for weight in range(1, w + 1)
+                           for xz in _weight_chunks(lat, weight, 2 ** 14))
+
+        assert ssr_exact_zero_check(lat, l - 1) is full(l - 1) is True
+        assert ssr_exact_zero_check(lat, l) is full(l) is False
 
     @pytest.mark.parametrize("lat", [LAT22, LAT23, LAT32])
     def test_agrees_with_rank_certificate(self, lat):

@@ -1,0 +1,141 @@
+"""Oracles for the Z_N toric code, kept for the tests only.
+
+``kl_elements`` writes every element M[a, b, i, j] = <j| E_b^dag E_a |i> of
+an error set on the sector basis into one (E, E, N^2, N^2) array;
+``klcore.report_from_elements`` then reads the verdict, C and deviations
+off it.  The syndrome-class check ``toriccode.kl_check_errors`` must agree
+with this path.  ``pauli_dense`` builds the dense matrix of a Pauli,
+``pauli_adjoint`` its adjoint one Pauli at a time, and ``ssr_certificate``
+decides stabilizer membership by rank over GF(N).
+"""
+
+import math
+from typing import Optional, Sequence
+
+import numpy as np
+
+from ssrqec import klcore
+from ssrqec.toriccode import (PauliArray, QuditPauli, TorusLattice,
+                              _logical_probes, build_stabilizers,
+                              commutation_exponent, commutation_exponents,
+                              pair_phases, pauli_permutation)
+
+
+def kl_elements(lat: TorusLattice, errors: PauliArray) -> np.ndarray:
+    """M[a, b, i, j] = <j| E_b^dag E_a |i> on the sector basis, exactly.
+
+    i and j index the sector basis in ``sector_labels`` order.  Since
+    commutation exponents are linear in xz, P_ab commutes with every
+    stabilizer iff E_a and E_b have the same syndrome, and its logical
+    powers (gamma, delta, alpha, beta) are differences of theirs.  Then
+    P_ab |s, t> = e^{i pi phi / N} w^(gamma s + beta (t - delta))
+    |s + alpha, t - delta>.
+    """
+    n, k = lat.n, lat.n * lat.n
+    stabs = PauliArray.of(build_stabilizers(lat), n).xz
+    syndrome = commutation_exponents(errors.xz, stabs, n)
+    _, cls = np.unique(syndrome, axis=0, return_inverse=True)
+    cls = cls.reshape(-1)
+    ea, eb = np.nonzero(cls[:, None] == cls[None, :])   # undetected pairs
+    logical = commutation_exponents(errors.xz, _logical_probes(lat), n)
+    gamma, delta, alpha, beta = ((logical[ea] - logical[eb]) % n).T[:, :, None]
+    phi = pair_phases(errors, ea, eb)[:, None]
+    s, t = np.divmod(np.arange(k), n)
+    expo = (phi + 2 * (gamma * s + beta * (t - delta))) % (2 * n)
+    target = ((s + alpha) % n) * n + (t - delta) % n
+    m = np.zeros((len(errors), len(errors), k, k), dtype=np.complex128)
+    m[ea[:, None], eb[:, None], np.arange(k), target] = \
+        np.exp(1j * np.pi * np.arange(2 * n) / n)[expo]
+    return m
+
+
+def pauli_dense(lat: TorusLattice, p: QuditPauli) -> np.ndarray:
+    """Dense matrix, for small-lattice cross-checks only."""
+    targets, phases = pauli_permutation(lat, p)
+    d = lat.dim
+    m = np.zeros((d, d), dtype=np.complex128)
+    m[targets, np.arange(d)] = phases
+    return m
+
+
+def pauli_adjoint(a: QuditPauli) -> QuditPauli:
+    n = a.n
+    cross = sum(za * xa for za, xa in zip(a.z_powers, a.x_powers))
+    x = tuple((-xa) % n for xa in a.x_powers)
+    z = tuple((-za) % n for za in a.z_powers)
+    return QuditPauli(x, z, n, -a.phase + 2 * cross)
+
+
+def _rank_mod_p(rows: np.ndarray, p: int) -> int:
+    """Rank of an integer matrix over GF(p); p must be prime."""
+    m = rows % p
+    m = m.astype(np.int64).copy()
+    rank = 0
+    cols = m.shape[1]
+    for c in range(cols):
+        pivot = None
+        for r in range(rank, m.shape[0]):
+            if m[r, c] % p:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        m[[rank, pivot]] = m[[pivot, rank]]
+        inv = pow(int(m[rank, c]), p - 2, p)
+        m[rank] = (m[rank] * inv) % p
+        for r in range(m.shape[0]):
+            if r != rank and m[r, c] % p:
+                m[r] = (m[r] - m[r, c] * m[rank]) % p
+        rank += 1
+        if rank == m.shape[0]:
+            break
+    return rank
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    return all(n % k for k in range(2, int(math.isqrt(n)) + 1))
+
+
+def ssr_certificate(lat: TorusLattice, p: QuditPauli,
+                    stabilizers: Optional[Sequence[QuditPauli]] = None) -> str:
+    """Symbolic proof that every off-diagonal sector element of ``p`` is 0.
+
+    Returns 'detected' when p fails to commute with some stabilizer (then
+    every ground-space matrix element vanishes), 'stabilizer' when p lies
+    in the stabilizer group up to phase (then it acts as a scalar and all
+    off-diagonal elements vanish), or 'logical' otherwise.  Membership is
+    decided by rank over GF(N), so N must be prime.
+    """
+    if not _is_prime(lat.n):
+        raise ValueError("symbolic membership test requires prime N")
+    if stabilizers is None:
+        stabilizers = build_stabilizers(lat)
+    for s in stabilizers:
+        if commutation_exponent(p, s):
+            return "detected"
+    rows = np.array([list(s.x_powers) + list(s.z_powers) for s in stabilizers],
+                    dtype=np.int64)
+    vec = np.array(list(p.x_powers) + list(p.z_powers), dtype=np.int64)
+    if _rank_mod_p(rows, lat.n) == _rank_mod_p(np.vstack([rows, vec]), lat.n):
+        return "stabilizer"
+    return "logical"
+
+
+def oracle_report(lat: TorusLattice, errors: PauliArray,
+                  tol: float = 1e-9) -> tuple[klcore.KLReport, np.ndarray]:
+    """The dense report and its deviation array M - C delta_ij."""
+    m = kl_elements(lat, errors)
+    report = klcore.report_from_elements(m, tol)
+    diag = np.arange(m.shape[2])
+    m[:, :, diag, diag] -= report.c_matrix[:, :, None]
+    return report, m
+
+
+def dense_c(report) -> np.ndarray:
+    """The E x E C matrix of a ``SyndromeKLReport``, from its class blocks."""
+    c = np.zeros((report.n_errors, report.n_errors), dtype=np.complex128)
+    for errors, block in report.c_blocks:
+        c[np.ix_(errors, errors)] = block
+    return c
