@@ -464,17 +464,23 @@ def _block_flips(seed: int, block: int, rows: int, n: int, p: float) -> np.ndarr
 
 
 def _decode_failures(flips: np.ndarray) -> np.ndarray:
-    """Per-row failure of the syndrome + majority decode on a (rows, n) block."""
-    n = flips.shape[1]
-    signs = 1 - 2 * flips.astype(np.int8)
-    syndrome = signs[:, :-1] * signs[:, 1:]
-    chain = np.ones(flips.shape, dtype=np.int8)
-    np.cumprod(syndrome, axis=1, out=chain[:, 1:])
-    minus = chain == -1
-    keep = minus.sum(axis=1, keepdims=True) <= n // 2
-    correction = np.where(keep, minus, ~minus)
-    residual = flips ^ correction
-    return residual.all(axis=1)
+    """Per-row failure of the syndrome + majority decode on a (rows, n) block.
+
+    The block is decoded bit-major, as (n, rows), so every step runs across
+    trials.  The adjacent-parity syndromes s_i = f_i xor f_{i+1} telescope:
+    s_0 xor ... xor s_{k-1} = f_0 xor f_k, each bit's parity relative to
+    bit 0.  A global flip of f leaves every syndrome unchanged, so the
+    correction depends only on the syndrome: flip the bits that differ from
+    bit 0, or, when those are more than n // 2, the complement (the chain
+    XOR a per-trial "flip all" bit).  A trial fails when every bit of the
+    residual is flipped.
+    """
+    f = np.ascontiguousarray(flips.T)
+    n = f.shape[0]
+    chain = f ^ f[0]
+    flip_all = chain.sum(axis=0) > n // 2
+    residual = f ^ chain ^ flip_all
+    return residual.all(axis=0)
 
 
 def logical_error_rate(n: int, p: float, trials: int, seed: int

@@ -292,9 +292,11 @@ def m_inv(m_op: Operator, disc: GroupDiscretization) -> Operator:
 
     M^inv = sum_m |theta_m><theta_m|_R (x) (e^{-i theta_m Q} M e^{+i theta_m Q})_S.
     Summing the phases over the group gives the closed form
-    M^inv_{(r,s),(r',s')} = M_{ss'} [q_r + q_s = q_r' + q_s' (mod n_g)],
-    a charge-conservation mask on ones (x) M.  Exact (orthonormal phase
-    states, homomorphism property) at n_g = rotor dimension.
+    M^inv_{(r,s),(r',s')} = M_{ss'} [q_r + q_s = q_r' + q_s' (mod n_g)]:
+    zero outside one block per class of (q_r + q_s) mod n_g, and inside
+    each block the entries of M at the block's S indices.  Exact
+    (orthonormal phase states, homomorphism property) at n_g = rotor
+    dimension.
     """
     d = m_op.space.dim
     if d % 2 == 0:
@@ -303,10 +305,15 @@ def m_inv(m_op: Operator, disc: GroupDiscretization) -> Operator:
     if disc.n_g < d:
         raise ValueError(f"n_g = {disc.n_g} < rotor dimension {d}")
     qs = np.arange(-space.q_max, space.q_max + 1)
-    tot = (qs[:, None] + qs[None, :]).reshape(-1)  # q_r + q_s at index r*d + s
-    mask = (tot[:, None] - tot[None, :]) % disc.n_g == 0
+    cls = (qs[:, None] + qs[None, :]).reshape(-1) % disc.n_g  # at index r*d + s
+    s_of = np.tile(np.arange(d), d)
+    m = m_op.dense()
+    out = np.zeros((d * d, d * d), dtype=m.dtype)
+    for c in np.unique(cls):
+        idx = np.flatnonzero(cls == c)
+        out[np.ix_(idx, idx)] = m[np.ix_(s_of[idx], s_of[idx])]
     joint = space.product_space("R").tensor(space.product_space("S"))
-    return Operator(joint, np.where(mask, np.tile(m_op.dense(), (d, d)), 0))
+    return Operator(joint, out)
 
 
 def prepare_simulated_superposition(alphas: Mapping[int, complex],

@@ -161,6 +161,20 @@ class TestRun:
         saved = json.loads((tmp_path / "run_report.json").read_text())
         assert saved["assumption_notes"]
 
+    @pytest.mark.parametrize("n,trials,seed,digest", [
+        (3, 20000, 7,
+         "8f78b7c885e3f0e75a639d9a7c3395fb660116037f07a3b73de899ec0a4b4013"),
+        (101, 5000, 3,
+         "27ab4b17177a04d8496cad015b41390e8aa8f7ae11d701289ced768c012e89bd")])
+    def test_qcd_code_csv_bytes_pinned(self, tmp_path, n, trials, seed, digest):
+        # digests recorded with the row-major cumprod decoder; any decoder
+        # must reproduce these bytes for these seeds
+        cfg = {"experiment": "qcd-code", "seed": seed,
+               "params": {"n": n, "p": 0.1, "trials": trials}}
+        cli.run(cfg, str(tmp_path))
+        data = (tmp_path / "logical_error_rate.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
     def test_toric_n3_l3_runs_satisfied(self, tmp_path):
         cfg = {"experiment": "toric", "params": {"n": 3, "l": 3}}
         cli.run(cfg, str(tmp_path))

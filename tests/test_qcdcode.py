@@ -420,11 +420,44 @@ def decode_failure_oracle(flips):
     return bool(residual.all())
 
 
+def oracle_failures(flips):
+    """decode_failure_oracle on each distinct row, spread back to every row."""
+    patterns, inverse = np.unique(flips, axis=0, return_inverse=True)
+    per_pattern = np.array([decode_failure_oracle(row) for row in patterns],
+                           dtype=bool)
+    return per_pattern[inverse.reshape(-1)]
+
+
+def odd(lo, hi):
+    return st.integers(lo // 2, hi // 2).map(lambda k: 2 * k + 1)
+
+
 @st.composite
 def flip_blocks(draw):
-    rows = draw(st.integers(1, 40))
-    n = 2 * draw(st.integers(0, 20)) + 1
-    return draw(arrays(np.bool_, (rows, n)))
+    """Small blocks cell by cell; tall (n <= 7) and wide (n > 7) blocks of
+    up to BLOCK_BITS cells from a seeded generator; in C or Fortran order,
+    as a strided slice, with negative strides or as a .T.T view."""
+    kind = draw(st.sampled_from(["small", "tall", "wide"]))
+    if kind == "small":
+        flips = draw(arrays(np.bool_, (draw(st.integers(1, 40)), draw(odd(1, 41)))))
+    else:
+        n = draw(odd(1, 7) if kind == "tall" else odd(9, qcdcode.BLOCK_BITS + 1))
+        rows = draw(st.integers(1, qcdcode._block_rows(n)))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        flips = rng.random((rows, n)) < draw(st.sampled_from([0.05, 0.5, 0.95]))
+    layout = draw(st.sampled_from(["c", "fortran", "slice", "reversed", "tt"]))
+    if layout == "fortran":
+        return np.asfortranarray(flips)
+    if layout == "slice":
+        rows, n = flips.shape
+        base = np.zeros((2 * rows, 2 * n + 1), dtype=bool)
+        base[::2, 1::2] = flips
+        return base[::2, 1::2]
+    if layout == "reversed":
+        return flips[::-1, ::-1].copy()[::-1, ::-1]
+    if layout == "tt":
+        return flips.T.T
+    return flips
 
 
 class TestBlockDecoder:
@@ -432,7 +465,7 @@ class TestBlockDecoder:
     @given(flip_blocks())
     def test_matches_per_pattern_oracle(self, flips):
         got = qcdcode._decode_failures(flips)
-        assert got.tolist() == [decode_failure_oracle(row) for row in flips]
+        assert got.tolist() == oracle_failures(flips).tolist()
 
     @settings(max_examples=200, deadline=None)
     @given(flip_blocks())

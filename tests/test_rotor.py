@@ -264,6 +264,15 @@ def m_inv_group_average(m: np.ndarray, n_g: int) -> np.ndarray:
     return out
 
 
+def m_inv_charge_mask(m: np.ndarray, n_g: int) -> np.ndarray:
+    """Reference M^inv: a charge-conservation mask on ones (x) M."""
+    d = m.shape[0]
+    qs = np.arange(d) - (d - 1) // 2
+    tot = (qs[:, None] + qs[None, :]).reshape(-1)  # q_r + q_s at index r*d + s
+    mask = (tot[:, None] - tot[None, :]) % n_g == 0
+    return np.where(mask, np.tile(m, (d, d)), 0)
+
+
 class TestClosedForms:
     @settings(max_examples=60, deadline=None)
     @given(q_max=st.integers(1, 4), data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
@@ -277,6 +286,20 @@ class TestClosedForms:
         assert out.space == ProductSpace((d, d), ("R", "S"))
         np.testing.assert_allclose(out.dense(), m_inv_group_average(m, n_g),
                                    rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(q_max=st.integers(1, 6), data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_m_inv_blocks_bitwise_equal_charge_mask(self, q_max, data, seed):
+        # n_g up to 3d + 2 covers classes that wrap around mod n_g
+        d = 2 * q_max + 1
+        n_g = data.draw(st.integers(d, 3 * d + 2), label="n_g")
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        out = m_inv(Operator(RotorSpace(q_max).product_space(), m),
+                    GroupDiscretization(n_g)).dense()
+        want = m_inv_charge_mask(m, n_g)
+        assert out.dtype == want.dtype
+        assert out.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_total_charge_matches_kronecker_sum(self, n):
