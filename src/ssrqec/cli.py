@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import sys
 import time
@@ -33,9 +34,7 @@ from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
 
 from . import __version__
-from . import klcore, qcdcode, rotor, scatter, toriccode
-from .hilbert import StateVector, operator_from_json, vector_from_json
-from .toriccode import GuardExceededError
+from .errors import GuardExceededError, PropagatorPoleError
 
 EXIT_SCHEMA = 2
 EXIT_GUARD = 3
@@ -57,39 +56,50 @@ def _fmt_complex(z: complex) -> str:
     return f"{re!r}{'+' if im >= 0 else '-'}{abs(im)!r}j"
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+def _write(path: Path, data: bytes) -> tuple[str, str]:
+    """Write the bytes once; returns (file name, SHA-256 of the bytes)."""
+    path.write_bytes(data)
+    return path.name, hashlib.sha256(data).hexdigest()
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+def _write_csv(path: Path, header: list[str], rows: list[list]) -> tuple[str, str]:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(x) for x in row])
+    return _write(path, buf.getvalue().encode("utf-8"))
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _json_bytes(obj) -> bytes:
+    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+def _write_json(path: Path, obj) -> tuple[str, str]:
+    return _write(path, _json_bytes(obj))
 
 
 # ---------------------------------------------------------------------------
 # Experiments: plan(params) -> planned inputs; run(planned, outdir, seed) ->
-# output files.  A plan raises ValueError (or PropagatorPoleError) for a
-# config error and GuardExceededError for a resource limit.
+# (file name, SHA-256) of each output.  A plan raises ValueError (or
+# PropagatorPoleError) for a config error and GuardExceededError for a
+# resource limit.  Each plan and run imports its domain modules when called,
+# so a CLI run loads only the modules of its experiment.
 
 
 def _plan_kl_check(params: dict):
-    code = klcore.CodeSpace(tuple(vector_from_json(v) for v in params["codewords"]))
-    errors = klcore.ErrorSet(tuple(operator_from_json(m) for m in params["errors"]))
+    from . import hilbert, klcore
+    code = klcore.CodeSpace(tuple(hilbert.vector_from_json(v)
+                                  for v in params["codewords"]))
+    errors = klcore.ErrorSet(tuple(hilbert.operator_from_json(m)
+                                   for m in params["errors"]))
     klcore.require_same_space(code, errors)
     return code, errors, params.get("tol", klcore.DEFAULT_KL_TOL)
 
 
-def _run_kl_check(planned, outdir: Path, seed: Optional[int]) -> list[Path]:
-    path = outdir / "kl_report.json"
-    _write_json(path, klcore.kl_check(*planned).to_json())
-    return [path]
+def _run_kl_check(planned, outdir: Path, seed: Optional[int]) -> list[tuple[str, str]]:
+    from . import klcore
+    return [_write_json(outdir / "kl_report.json", klcore.kl_check(*planned).to_json())]
 
 
 _ROTOR_AMP = 1.0 / np.sqrt(2.0)  # logical alpha = beta of the rotor experiment
@@ -106,27 +116,31 @@ def _plan_rotor(params: dict):
         raise GuardExceededError(
             f"rotor joint states need {need / 2 ** 20:.0f} MiB and exceed the "
             f"{ROTOR_MEMORY_BUDGET / 2 ** 20:.0f} MiB budget")
+    from . import hilbert, rotor
     space = rotor.RotorSpace(params["q_max"])
     q1, q2 = params["logical_charges"]
     w1, _ = rotor.build_codeword(space, space, q1, params["profile"], params["w"])
     w2, _ = rotor.build_codeword(space, space, q2, params["profile"], params["w"])
-    psi = StateVector(w1.space, _ROTOR_AMP * w1.amplitudes + _ROTOR_AMP * w2.amplitudes)
+    psi = hilbert.StateVector(w1.space,
+                              _ROTOR_AMP * w1.amplitudes + _ROTOR_AMP * w2.amplitudes)
     for q in params["error_charges"]:
         psi = rotor.apply_phase_flip(psi, q, params["error_side"])
     return psi, (q1, q2)
 
 
-def _run_rotor(planned, outdir: Path, seed: Optional[int]) -> list[Path]:
+def _run_rotor(planned, outdir: Path, seed: Optional[int]) -> list[tuple[str, str]]:
+    from . import rotor
     psi, charges = planned
     rows = [[oc.outcome, oc.probability,
              rotor.logical_fidelity(oc.alpha, oc.beta, _ROTOR_AMP, _ROTOR_AMP)]
             for oc in rotor.enumerate_recovery(psi, charges)]
-    path = outdir / "rotor_recovery.csv"
-    _write_csv(path, ["outcome_q_tilde", "probability", "recovered_fidelity"], rows)
-    return [path]
+    return [_write_csv(outdir / "rotor_recovery.csv",
+                       ["outcome_q_tilde", "probability", "recovered_fidelity"], rows)]
 
 
-def _run_qcd_rates(params: dict, outdir: Path, seed: Optional[int]) -> list[Path]:
+def _run_qcd_rates(params: dict, outdir: Path,
+                   seed: Optional[int]) -> list[tuple[str, str]]:
+    from . import qcdcode
     m_pi = params.get("m_pi", qcdcode.DEFAULTS.m_pi)
     lam = params.get("lambda_qcd", qcdcode.DEFAULTS.lambda_qcd)
     m_w = params.get("m_w", qcdcode.DEFAULTS.m_w)
@@ -134,15 +148,13 @@ def _run_qcd_rates(params: dict, outdir: Path, seed: Optional[int]) -> list[Path
     if params.get("temperatures"):
         rows = [[t, qcdcode.thermal_flip_suppression(t, m_pi)]
                 for t in params["temperatures"]]
-        path = outdir / "thermal_suppression.csv"
-        _write_csv(path, ["temperature_mev", "suppression"], rows)
-        files.append(path)
+        files.append(_write_csv(outdir / "thermal_suppression.csv",
+                                ["temperature_mev", "suppression"], rows))
     if params.get("energies"):
         rows = [[e, qcdcode.sm_flip_suppression(e, lam, m_w)]
                 for e in params["energies"]]
-        path = outdir / "sm_suppression.csv"
-        _write_csv(path, ["energy_mev", "suppression"], rows)
-        files.append(path)
+        files.append(_write_csv(outdir / "sm_suppression.csv",
+                                ["energy_mev", "suppression"], rows))
     return files
 
 
@@ -153,18 +165,20 @@ def _plan_qcd_code(params: dict) -> dict:
     return params
 
 
-def _run_qcd_code(params: dict, outdir: Path, seed: Optional[int]) -> list[Path]:
+def _run_qcd_code(params: dict, outdir: Path,
+                  seed: Optional[int]) -> list[tuple[str, str]]:
+    from . import qcdcode
     est, stderr = qcdcode.logical_error_rate(params["n"], params["p"],
                                              params["trials"], seed)
-    path = outdir / "logical_error_rate.csv"
-    _write_csv(path, ["p", "n", "logical_rate", "stderr"],
-               [[params["p"], params["n"], est, stderr]])
-    return [path]
+    return [_write_csv(outdir / "logical_error_rate.csv",
+                       ["p", "n", "logical_rate", "stderr"],
+                       [[params["p"], params["n"], est, stderr]])]
 
 
 def _plan_xsec(params: dict):
     if params["e_cm_min"] > params["e_cm_max"]:
         raise ValueError("e_cm_min must not exceed e_cm_max")
+    from . import scatter
     n_theta = params.get("n_theta", 64)
     if n_theta > scatter.MAX_N_THETA:
         raise GuardExceededError(
@@ -176,15 +190,16 @@ def _plan_xsec(params: dict):
     return energies, masses, params["g1"], params["g2"], params["lam"], n_theta
 
 
-def _run_xsec(planned, outdir: Path, seed: Optional[int]) -> list[Path]:
+def _run_xsec(planned, outdir: Path, seed: Optional[int]) -> list[tuple[str, str]]:
+    from . import scatter
     rows = [[res.e_cm, res.sigma, res.above_threshold]
             for res in scatter.sigma_tot_grid(*planned)]
-    path = outdir / "cross_section.csv"
-    _write_csv(path, ["e_cm_mev", "sigma_mev^-2", "above_threshold"], rows)
-    return [path]
+    return [_write_csv(outdir / "cross_section.csv",
+                       ["e_cm_mev", "sigma_mev^-2", "above_threshold"], rows)]
 
 
 def _plan_toric(params: dict):
+    from . import toriccode
     lat = toriccode.TorusLattice(params["l"], params["n"])
     max_weight = params.get("max_weight", 1)
     refusal = toriccode.kl_guard(lat, max_weight)
@@ -193,18 +208,17 @@ def _plan_toric(params: dict):
     return lat, max_weight, params.get("tol", 1e-9)
 
 
-def _run_toric(planned, outdir: Path, seed: Optional[int]) -> list[Path]:
+def _run_toric(planned, outdir: Path, seed: Optional[int]) -> list[tuple[str, str]]:
+    from . import toriccode
     lat, max_weight, tol = planned
     rows = [[a, b, _fmt_complex(np.exp(2j * np.pi * a / lat.n)),
              _fmt_complex(np.exp(2j * np.pi * b / lat.n))]
             for (a, b) in toriccode.sector_labels(lat)]
-    sector_path = outdir / "sectors.csv"
-    _write_csv(sector_path, ["charge_a", "charge_b",
-                             "wilson_electric_eigenvalue",
-                             "wilson_magnetic_eigenvalue"], rows)
-    report_path = outdir / "kl_report.json"
-    _write_json(report_path, toriccode.kl_check_toric(lat, max_weight, tol).to_json())
-    return [sector_path, report_path]
+    sectors = _write_csv(outdir / "sectors.csv",
+                         ["charge_a", "charge_b", "wilson_electric_eigenvalue",
+                          "wilson_magnetic_eigenvalue"], rows)
+    report = toriccode.kl_check_toric(lat, max_weight, tol).to_json()
+    return [sectors, _write_json(outdir / "kl_report.json", report)]
 
 
 class Experiment:
@@ -319,7 +333,7 @@ def _plan(config: dict) -> tuple[Experiment, object]:
         raise ConfigError(f"seed required for stochastic experiment {name!r}")
     try:
         return experiment, experiment.plan(config["params"])
-    except (ValueError, scatter.PropagatorPoleError) as exc:
+    except (ValueError, PropagatorPoleError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
 
 
@@ -352,9 +366,10 @@ def run(config: dict, output_dir: Optional[str] = None) -> dict:
         "artifact_version": __version__,
         "wall_time_seconds": wall,
         "assumption_notes": list(experiment.notes),
-        "outputs": {p.name: _sha256(p) for p in files},
+        "outputs": dict(files),
     }
-    _write_json(outdir / "run_report.json", report)
+    # the report lists no hash of itself, so it is written without one
+    (outdir / "run_report.json").write_bytes(_json_bytes(report))
     return report
 
 

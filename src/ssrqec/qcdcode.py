@@ -455,12 +455,16 @@ def _block_flips(seed: int, block: int, rows: int, n: int, p: float) -> np.ndarr
     """Flip patterns of one block, shape (rows, n), from the (seed, block) stream.
 
     Rows are filled in order, so a partial block's rows equal the leading
-    rows of the full block.
+    rows of the full block.  A draw is one raw 64-bit word w, and
+    ``Generator.random()`` on the same stream returns (w >> 11) * 2**-53, so
+    w < ceil(p * 2**53) << 11 is bitwise the same flip as random() < p
+    without building the float64 block; p < 1 keeps the threshold below
+    2**64.
     """
     # a uint64 key: a list of Python ints above 2**63 would go through float64
     key = np.array([seed, block], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    return rng.random((rows, n)) < p
+    words = np.random.Philox(key=key).random_raw(rows * n).reshape(rows, n)
+    return words < np.uint64(math.ceil(p * 2.0 ** 53) << 11)
 
 
 def _decode_failures(flips: np.ndarray) -> np.ndarray:
@@ -478,7 +482,7 @@ def _decode_failures(flips: np.ndarray) -> np.ndarray:
     f = np.ascontiguousarray(flips.T)
     n = f.shape[0]
     chain = f ^ f[0]
-    flip_all = chain.sum(axis=0) > n // 2
+    flip_all = chain.sum(axis=0, dtype=np.int32) > n // 2
     residual = f ^ chain ^ flip_all
     return residual.all(axis=0)
 

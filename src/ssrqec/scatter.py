@@ -27,6 +27,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .errors import PropagatorPoleError
+
 DEFAULT_POLE_GUARD = 1.0  # MeV^2
 # (energy, node) rows per spin_summed_amp2_grid call in sigma_tot_grid;
 # each row holds about 0.8 KiB of temporaries at the peak.
@@ -38,10 +40,6 @@ MAX_N_THETA = 2048
 # default conservation_tol (MeV) and relative shell_tol of the scalar path;
 # the batched kernel uses the same values
 _KINEMATIC_TOL = 1e-6
-
-
-class PropagatorPoleError(ArithmeticError):
-    """Kinematics too close to the intermediate-state pole."""
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import klcore
+from .errors import GuardExceededError
 from .hilbert import ProductSpace
 from .klcore import KLReport
 
@@ -58,10 +59,6 @@ KL_ROW_COPIES = 4
 KL_PAIR_CHUNK = 2 ** 14
 # Bytes of one chunk of enumerated error rows in ssr_exact_zero_check.
 SSR_CHUNK_BYTES = 2 ** 24
-
-
-class GuardExceededError(RuntimeError):
-    """A desk-scale size guard was exceeded."""
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,9 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -427,7 +430,7 @@ class TestMainExitCodes:
     def test_validate_out_of_memory_exit_3(self, tmp_path, capsys, monkeypatch):
         def fail(e_values, masses, n_theta):
             raise MemoryError("boom")
-        monkeypatch.setattr(cli.scatter, "check_energies", fail)
+        monkeypatch.setattr(scatter, "check_energies", fail)
         cfg = write_config(tmp_path, xsec_config())
         assert cli.main(["validate", str(cfg)]) == cli.EXIT_GUARD
         assert "out of memory" in capsys.readouterr().err
@@ -452,6 +455,90 @@ class TestRegistry:
         assert names == list(cli.EXPERIMENTS)
         assert cli.config_schema()["param_schemas"] == {
             name: e.schema for name, e in cli.EXPERIMENTS.items()}
+
+
+# One small valid config per experiment, and the domain modules each one loads.
+SMALL_CONFIGS = {
+    "kl-check": kl_config([E0, E1], [ID2]),
+    "rotor": rotor_config(),
+    "qcd-rates": {"experiment": "qcd-rates",
+                  "params": {"temperatures": [14.0], "energies": [16.5]}},
+    "qcd-code": qcd_config(),
+    "xsec": xsec_config(),
+    "toric": {"experiment": "toric", "params": {"n": 2, "l": 2}},
+}
+DOMAIN_MODULES = {"hilbert", "klcore", "qcdcode", "rotor", "scatter", "toriccode"}
+CHAINS = {
+    "kl-check": {"klcore", "hilbert"},
+    "rotor": {"rotor", "hilbert"},
+    "qcd-rates": {"qcdcode", "hilbert"},
+    "qcd-code": {"qcdcode", "hilbert"},
+    "xsec": {"scatter"},
+    "toric": {"toriccode", "klcore", "hilbert"},
+}
+
+
+def fresh_interpreter(script: str) -> list:
+    """Run script in a new interpreter that imports ssrqec from the same
+    place as this process; returns the JSON values it prints, one a line.
+    The script may call ``loaded()``: the domain modules imported so far."""
+    prelude = ("import json, sys\n"
+               "def loaded():\n"
+               "    return sorted(m[7:] for m in sys.modules if m.startswith('ssrqec.')\n"
+               f"                  and m[7:] in {sorted(DOMAIN_MODULES)!r})\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", prelude + script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+class TestLazyImports:
+    def test_package_and_cli_load_no_domain_module(self):
+        assert fresh_interpreter(
+            "import ssrqec, ssrqec.cli\nprint(json.dumps(loaded()))") == [[]]
+
+    @pytest.mark.parametrize("name", sorted(SMALL_CONFIGS))
+    def test_experiment_loads_only_its_chain(self, tmp_path, name):
+        validated, ran = fresh_interpreter(
+            "from ssrqec import cli\n"
+            f"config = {SMALL_CONFIGS[name]!r}\n"
+            "assert cli.validate(config) == []\n"
+            "print(json.dumps(loaded()))\n"
+            f"cli.run(config, {str(tmp_path)!r})\n"
+            "print(json.dumps(loaded()))\n")
+        assert set(validated) <= CHAINS[name]
+        assert set(ran) == CHAINS[name]
+
+    def test_every_submodule_resolves(self):
+        names, same_errors = fresh_interpreter(
+            "import importlib, ssrqec\n"
+            "subs = sorted(set(ssrqec.__all__) - {'__version__'})\n"
+            "assert set(subs) <= set(dir(ssrqec))\n"
+            "print(json.dumps([n for n in subs if getattr(ssrqec, n) is\n"
+            "                  importlib.import_module('ssrqec.' + n)]))\n"
+            "from ssrqec import errors, scatter, toriccode\n"
+            "print(json.dumps([toriccode.GuardExceededError is errors.GuardExceededError,\n"
+            "                  scatter.PropagatorPoleError is errors.PropagatorPoleError]))\n")
+        assert names == sorted(DOMAIN_MODULES | {"cli", "errors"})
+        assert same_errors == [True, True]
+
+    def test_unknown_attribute_raises_attribute_error(self):
+        import ssrqec
+        with pytest.raises(AttributeError, match="no_such_module"):
+            ssrqec.no_such_module
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_CONFIGS))
+def test_outputs_hash_the_files_on_disk(tmp_path, name):
+    report = cli.run(SMALL_CONFIGS[name], str(tmp_path))
+    assert report["outputs"]
+    for file_name, digest in report["outputs"].items():
+        assert hashlib.sha256((tmp_path / file_name).read_bytes()).hexdigest() == digest
+    saved = json.loads((tmp_path / "run_report.json").read_text(encoding="utf-8"))
+    assert saved["outputs"] == report["outputs"]
 
 
 # --- differential fuzz: validate and run agree --------------------------------

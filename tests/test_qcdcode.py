@@ -475,6 +475,54 @@ class TestBlockDecoder:
         assert np.array_equal(got, flips.sum(axis=1) > n // 2)
 
 
+def float_flip_oracle(seed, block, rows, n, p):
+    """The float64 draw random((rows, n)) < p on the block's Philox stream."""
+    key = np.array([seed, block], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).random((rows, n)) < p
+
+
+_SEEDS = st.one_of(st.integers(0, 2 ** 20), st.integers(2 ** 63, 2 ** 64 - 1))
+_EDGE_P = st.sampled_from([5e-324, float(np.nextafter(0.1, 1.0)), 1.0 - 2.0 ** -53])
+
+
+@st.composite
+def block_shapes(draw):
+    """(rows, n): n up to BLOCK_BITS + 1, full, one-row or partial blocks."""
+    n = draw(st.one_of(st.integers(1, 9), st.integers(1, qcdcode.BLOCK_BITS + 1)))
+    full = qcdcode._block_rows(n)
+    return draw(st.sampled_from([full, 1]) | st.integers(1, full)), n
+
+
+class TestFlipDraw:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=_SEEDS, block=st.integers(0, 2 ** 20), shape=block_shapes(),
+           p=_EDGE_P | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_matches_float_draw(self, seed, block, shape, p):
+        rows, n = shape
+        got = qcdcode._block_flips(seed, block, rows, n, p)
+        assert got.dtype == np.bool_ and got.shape == (rows, n)
+        assert np.array_equal(got, float_flip_oracle(seed, block, rows, n, p))
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=_SEEDS, shape=block_shapes(), data=st.data())
+    def test_threshold_at_a_drawn_value(self, seed, shape, data):
+        # p equal to one of the block's own uniforms, or the next double up,
+        # puts that draw on the threshold.  A raw word whose low 11 bits are
+        # zero then equals the integer threshold itself, so such words are
+        # picked when the block has any.
+        rows, n = shape
+        key = np.array([seed, 0], dtype=np.uint64)
+        u = np.random.Generator(np.random.Philox(key=key)).random(rows * n)
+        exact = np.flatnonzero(np.random.Philox(key=key).random_raw(rows * n) % 2048 == 0)
+        k = data.draw(st.sampled_from(exact.tolist()) if exact.size
+                      else st.integers(0, rows * n - 1))
+        p = float(u[k]) if data.draw(st.booleans()) else float(np.nextafter(u[k], 1.0))
+        if not 0.0 < p < 1.0:
+            return
+        got = qcdcode._block_flips(seed, 0, rows, n, p)
+        assert np.array_equal(got.ravel(), u < p)
+
+
 class TestBlockBoundaries:
     @staticmethod
     def estimate(n, p, trials, seed):
