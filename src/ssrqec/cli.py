@@ -24,6 +24,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -35,6 +36,9 @@ from jsonschema.exceptions import best_match
 
 from . import __version__
 from .errors import GuardExceededError, PropagatorPoleError
+
+_ESCAPE = json.encoder.encode_basestring_ascii
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as json.dumps
 
 EXIT_SCHEMA = 2
 EXIT_GUARD = 3
@@ -72,11 +76,38 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> tuple[str, st
 
 
 def _json_bytes(obj) -> bytes:
-    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte, for
+    str-keyed documents.  The stdlib encoder formats each number in Python
+    when indenting; here a flat list of finite floats or of ints is one join."""
+    _emit(obj, "\n", out := [])
+    return ("".join(out) + "\n").encode("ascii")
 
 
-def _write_json(path: Path, obj) -> tuple[str, str]:
-    return _write(path, _json_bytes(obj))
+def _emit(obj, nl: str, out: list[str]) -> None:
+    inner = nl + "  "
+    if isinstance(obj, str):
+        out.append(_ESCAPE(obj))
+    elif isinstance(obj, float):
+        out.append(_FLOAT_WORDS.get(text := float.__repr__(obj), text))
+    elif obj is None or obj is True or obj is False:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        for i, key in enumerate(sorted(obj)):
+            out.append(("," if i else "{") + inner + _ESCAPE(key) + ": ")
+            _emit(obj[key], inner, out)
+        out.append(nl + "}" if obj else "{}")
+    elif not isinstance(obj, (list, tuple)):
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    elif (kinds := set(map(type, obj))) == {int} or (
+            kinds == {float} and math.isfinite(sum(obj))):
+        out.append("[" + inner + ("," + inner).join(map(repr, obj)) + nl + "]")
+    else:
+        for i, item in enumerate(obj):
+            out.append(("," if i else "[") + inner)
+            _emit(item, inner, out)
+        out.append(nl + "]" if obj else "[]")
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +130,8 @@ def _plan_kl_check(params: dict):
 
 def _run_kl_check(planned, outdir: Path, seed: Optional[int]) -> list[tuple[str, str]]:
     from . import klcore
-    return [_write_json(outdir / "kl_report.json", klcore.kl_check(*planned).to_json())]
+    report = klcore.kl_check(*planned).to_json()
+    return [_write(outdir / "kl_report.json", _json_bytes(report))]
 
 
 _ROTOR_AMP = 1.0 / np.sqrt(2.0)  # logical alpha = beta of the rotor experiment
@@ -218,7 +250,7 @@ def _run_toric(planned, outdir: Path, seed: Optional[int]) -> list[tuple[str, st
                          ["charge_a", "charge_b", "wilson_electric_eigenvalue",
                           "wilson_magnetic_eigenvalue"], rows)
     report = toriccode.kl_check_toric(lat, max_weight, tol).to_json()
-    return [sectors, _write_json(outdir / "kl_report.json", report)]
+    return [sectors, _write(outdir / "kl_report.json", _json_bytes(report))]
 
 
 class Experiment:
@@ -386,7 +418,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "schema":
-        print(json.dumps(config_schema(), indent=2, sort_keys=True))
+        sys.stdout.write(_json_bytes(config_schema()).decode("ascii"))
         return 0
 
     try:

@@ -238,10 +238,6 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
                          validate=False)
 
 
-def trace_all(rho: DensityMatrix) -> complex:
-    return complex(np.trace(rho.matrix))
-
-
 # ---------------------------------------------------------------------------
 # JSON interchange: {"dims": [...], "re": [...], "im": [...]} with row-major
 # flattening.  Vectors carry dim entries, operators dim**2.

@@ -75,13 +75,6 @@ def sm_flip_suppression(energy: float, lambda_qcd: float = DEFAULTS.lambda_qcd,
     return max(math.exp(-lambda_qcd / energy), (energy / m_w) ** 2)
 
 
-def effective_distance(lambda_qcd: float, epsilon: float) -> float:
-    """Energy budget of a sector-changing error in units of epsilon."""
-    if lambda_qcd <= 0 or epsilon <= 0:
-        raise ValueError("both scales must be positive")
-    return lambda_qcd / epsilon
-
-
 # ---------------------------------------------------------------------------
 # Scattering amplitude table
 
@@ -187,17 +180,6 @@ def error_operator_pn(table: AmplitudeTable, s: str, k: int, kp: int) -> np.ndar
     """The 2x2 species-diagonal error block diag(A^{s,p}, A^{s,n}) in the p/n basis."""
     return np.diag([table.amplitude(s, "p", k, kp),
                     table.amplitude(s, "n", k, kp)]).astype(np.complex128)
-
-
-def em_phase_error(theta: float) -> tuple[complex, complex]:
-    """(alpha_1, alpha_2) of the electromagnetic phase error diag(e^{-i theta}, 1).
-
-    The charged logical branch acquires e^{-i theta}; in the +/- basis this is
-    the same alpha_1 I + alpha_2 Z algebra as the scattering errors.
-    """
-    a1 = np.exp(-1j * theta / 2.0) * np.cos(theta / 2.0)
-    a2 = -1j * np.exp(-1j * theta / 2.0) * np.sin(theta / 2.0)
-    return complex(a1), complex(a2)
 
 
 # ---------------------------------------------------------------------------

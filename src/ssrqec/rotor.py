@@ -6,10 +6,6 @@ charges q_tilde on registers A and B; phase flips confined to B are
 corrected exactly by measuring B's charge and relabeling A.  The
 ``m_inv`` construction simulates SSR-violating operators with a discrete
 reference register of phase states.
-
-Truncation boundary: the shift operator annihilates the top charge
-rather than wrapping around, so boundary leakage shows up as norm loss
-instead of a silent SSR violation.
 """
 
 from __future__ import annotations
@@ -81,20 +77,6 @@ class GroupDiscretization:
 
 def charge_state(space: RotorSpace, q: int) -> StateVector:
     return basis_state(space.product_space(), space.index(q))
-
-
-def charge_operator(space: RotorSpace) -> Operator:
-    qs = np.arange(-space.q_max, space.q_max + 1, dtype=float)
-    return Operator(space.product_space(), np.diag(qs).astype(np.complex128))
-
-
-def shift_up(space: RotorSpace) -> Operator:
-    """U+ mapping |q> -> |q+1>; the top charge is annihilated (non-unitary)."""
-    d = space.dim
-    m = np.zeros((d, d), dtype=np.complex128)
-    for i in range(d - 1):
-        m[i + 1, i] = 1.0
-    return Operator(space.product_space(), m)
 
 
 def phase_flip(space: RotorSpace, q: int) -> Operator:
@@ -277,14 +259,6 @@ def wrong_guess_error_probability(space_a: RotorSpace, space_b: RotorSpace,
 
 # ---------------------------------------------------------------------------
 # Charge-invariant simulation M^inv
-
-
-def phase_state(space: RotorSpace, disc: GroupDiscretization, m: int) -> StateVector:
-    """|theta_m> = (1/sqrt(n_g)) sum_q e^{-i q theta_m} |q> on the truncation."""
-    theta = 2.0 * np.pi * m / disc.n_g
-    qs = np.arange(-space.q_max, space.q_max + 1)
-    amps = np.exp(-1j * qs * theta) / np.sqrt(disc.n_g)
-    return StateVector(space.product_space(), amps)
 
 
 def m_inv(m_op: Operator, disc: GroupDiscretization) -> Operator:

@@ -5,6 +5,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -437,8 +438,11 @@ class TestMainExitCodes:
 
     def test_schema_subcommand(self, capsys):
         assert cli.main(["schema"]) == 0
-        schema = json.loads(capsys.readouterr().out)
-        assert schema["required"] == ["experiment", "params"]
+        out = capsys.readouterr().out
+        assert json.loads(out)["required"] == ["experiment", "params"]
+        # digest recorded with print(json.dumps(schema, indent=2, sort_keys=True))
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+            "0f01adc36d77bdc4d7de4edba91301c6f99bd8ea855e13bb44f1c3633ea4977b"
 
     def test_unreadable_config(self, tmp_path, capsys):
         assert cli.main(["run", str(tmp_path / "missing.json")]) == cli.EXIT_SCHEMA
@@ -539,6 +543,85 @@ def test_outputs_hash_the_files_on_disk(tmp_path, name):
         assert hashlib.sha256((tmp_path / file_name).read_bytes()).hexdigest() == digest
     saved = json.loads((tmp_path / "run_report.json").read_text(encoding="utf-8"))
     assert saved["outputs"] == report["outputs"]
+
+
+# --- JSON writer: the bytes of json.dumps(indent=2, sort_keys=True) -----------
+
+def stdlib_json(obj) -> bytes:
+    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-7,
+                1e308, 0.1]
+_json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70), st.floats(),
+    st.sampled_from(_EDGE_FLOATS), st.floats().map(np.float64),
+    st.text(st.characters(codec=None)))
+# flat homogeneous lists take the writer's joined path, mixed ones do not
+_flat_lists = st.one_of(
+    st.lists(st.floats(), min_size=1), st.lists(st.sampled_from(_EDGE_FLOATS)),
+    st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=1),
+    st.lists(st.one_of(st.integers(), st.booleans(), st.floats())))
+_json_trees = st.recursive(
+    st.one_of(_json_scalars, _flat_lists),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4), st.tuples(children, children),
+        st.dictionaries(st.text(st.characters(codec=None)), children, max_size=4)),
+    max_leaves=20)
+
+
+def dense_kl_config():
+    """Dense kl-check on two qubits with dyadic entries, so every product
+    and sum in the check is exact and the report bytes are portable."""
+    def entries(k, a, b, scale):
+        return [float((i * a + k * b) % 5 - 2) / scale for i in range(16)]
+    return kl_config(
+        [interchange([2, 2], [0.5] * 4),
+         interchange([2, 2], [0.5, -0.5, 0.0, 0.0], [0.0, 0.0, 0.5, -0.5])],
+        [interchange([2, 2], entries(k, 7, 3, 4), [v / 2 for v in entries(k, 3, 1, 4)])
+         for k in range(3)])
+
+
+class TestJsonWriter:
+    @given(_json_trees)
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_match_stdlib(self, obj):
+        assert cli._json_bytes(obj) == stdlib_json(obj)
+
+    @pytest.mark.parametrize("obj", [
+        [1, True], [1.0, True], [1, 1.0], [True, False], [None], [2 ** 64 + 1, -2 ** 70],
+        _EDGE_FLOATS, [[], {}, [[]], {"a": {}}], (1.5, 2.5), [np.float64(0.1)] * 3,
+        {"é\x00\n\"\\": ["\ud800", "\x1f"]}, {"b": 1, "a": [2.0], "A": None},
+        "plain", 3, -0.0, math.nan, None, [], {}])
+    def test_edge_cases_match_stdlib(self, obj):
+        assert cli._json_bytes(obj) == stdlib_json(obj)
+
+    @pytest.mark.parametrize("bad", [np.int64(1), np.float32(1.0), np.bool_(True),
+                                     {1, 2}, b"bytes"])
+    def test_refuses_what_stdlib_refuses(self, bad):
+        for obj in (bad, [bad], [1.0, bad], {"a": bad}):
+            with pytest.raises(TypeError):
+                stdlib_json(obj)
+            with pytest.raises(TypeError):
+                cli._json_bytes(obj)
+
+    @pytest.mark.parametrize("config,digest", [
+        ({"experiment": "toric", "params": {"n": 2, "l": 3, "max_weight": 1}},
+         "66aed6fd6b1e6e27c7d2a52c2826108c47165738c8bf5becb0c8bb5d5735597a"),
+        ({"experiment": "toric", "params": {"n": 2, "l": 2, "max_weight": 2}},
+         "1744b9adb6af8fd6a437bc65c6d85b509010a76ec6b287aae1eff927af5f252f"),
+        ({"experiment": "toric", "params": {"n": 3, "l": 2, "max_weight": 1}},
+         "a7dfe460a38d4de695e931d634f3cc5e45b165c5e627ef0adf6762e77b40cd26"),
+        (dense_kl_config(),
+         "d482c64c644b686ee421148001901ae7b99e93664883423b9417bb3ed4b0c0cf")],
+        ids=["toric-2-3-1", "toric-2-2-2", "toric-3-2-1", "kl-check-dense"])
+    def test_kl_report_bytes_pinned(self, tmp_path, config, digest):
+        # digests recorded with the stdlib json.dumps(indent=2, sort_keys=True) writer
+        report = cli.run(config, str(tmp_path))
+        data = (tmp_path / "kl_report.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+        assert report["outputs"]["kl_report.json"] == digest
+        assert (tmp_path / "run_report.json").read_bytes() == stdlib_json(report)
 
 
 # --- differential fuzz: validate and run agree --------------------------------

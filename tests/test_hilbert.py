@@ -11,7 +11,9 @@ from ssrqec.hilbert import (DensityMatrix, DimensionMismatchError,
                             StateVector, apply, basis_state, fidelity,
                             identity, inner, operator_from_json,
                             operator_to_json, partial_trace, tensor_product,
-                            trace_all, vector_from_json, vector_to_json)
+                            vector_from_json, vector_to_json)
+
+from helpers import shift_up, trace_all
 
 SP2 = ProductSpace((2,))
 Z = Operator(SP2, np.diag([1.0, -1.0]).astype(np.complex128))
@@ -71,7 +73,7 @@ class TestApply:
 
     def test_shift_on_truncated_ladder(self):
         # |q=1> -> |q=2> on the 5-dim charge ladder
-        from ssrqec.rotor import RotorSpace, charge_state, shift_up
+        from ssrqec.rotor import RotorSpace, charge_state
         space = RotorSpace(2)
         out = apply(shift_up(space), charge_state(space, 1))
         np.testing.assert_allclose(out.amplitudes,

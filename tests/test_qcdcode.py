@@ -17,13 +17,14 @@ from ssrqec.hilbert import Operator, ProductSpace, basis_state
 from ssrqec.qcdcode import (DEFAULTS, AmplitudeTable, MomentumGrid,
                             RepetitionState, SyndromeResult,
                             alpha_decomposition, apply_scattering_error,
-                            binomial_tail, decode_phase_flip, effective_distance,
-                            em_phase_error, encode_repetition,
+                            binomial_tail, decode_phase_flip, encode_repetition,
                             error_operator_pn, logical_error_rate,
                             measure_syndrome, momentum_project_and_boost,
                             pion_mass, recovery_cycle, sm_flip_suppression,
                             syndrome_outcomes, thermal_flip_suppression,
                             toy_amplitude_table)
+
+from helpers import effective_distance, em_phase_error
 
 INV_SQRT2 = 1 / math.sqrt(2)
 

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from ssrqec.hilbert import (Operator, ProductSpace, StateVector, apply,
                             basis_state, identity, inner, tensor_product)
 from ssrqec.rotor import (GroupDiscretization, RotorSpace, apply_phase_flip,
-                          build_codeword, charge_operator, charge_state,
-                          enumerate_recovery, logical_fidelity, m_inv,
-                          phase_flip, phase_state,
+                          build_codeword, charge_state, enumerate_recovery,
+                          logical_fidelity, m_inv, phase_flip,
                           prepare_simulated_superposition,
-                          recover_by_measuring_B, shift_up,
-                          total_charge_operator,
+                          recover_by_measuring_B, total_charge_operator,
                           wrong_guess_error_probability)
+
+from helpers import charge_operator, phase_state, shift_up
 
 INV_SQRT2 = 1 / np.sqrt(2)
 
