@@ -383,9 +383,20 @@ def validate(config: dict) -> list[str]:
     return []
 
 
-def run(config: dict, output_dir: Optional[str] = None) -> dict:
-    """Plan and execute a config; returns the RunReport dictionary.
+def _echo(obj):
+    """``obj`` with each interchange payload (keys exactly dims, re, im) as its
+    dims and the SHA-256 of ``[re, im]`` as little-endian doubles."""
+    if isinstance(obj, list):
+        return [_echo(item) for item in obj]
+    if isinstance(obj, dict) and obj.keys() == {"dims", "re", "im"}:
+        data = np.array([obj["re"], obj["im"]], dtype="<f8").tobytes()
+        return {"dims": obj["dims"], "sha256": hashlib.sha256(data).hexdigest()}
+    return {k: _echo(v) for k, v in obj.items()} if isinstance(obj, dict) else obj
 
+
+def run(config: dict, output_dir: Optional[str] = None) -> dict:
+    """Plan and execute a config; returns the report in run_report.json: the
+    config as ``_echo`` gives it, and its SHA-256 as ``config_sha256``.
     Every refusal is raised before the output directory is created."""
     experiment, planned = _plan(config)
     outdir = Path(output_dir or config.get("output_dir", "."))
@@ -394,7 +405,8 @@ def run(config: dict, output_dir: Optional[str] = None) -> dict:
     files = experiment.run(planned, outdir, config.get("seed"))
     wall = time.perf_counter() - start
     report = {
-        "config": config,
+        "config": (echo := _echo(config)),
+        "config_sha256": hashlib.sha256(_json_bytes(echo)).hexdigest(),
         "artifact_version": __version__,
         "wall_time_seconds": wall,
         "assumption_notes": list(experiment.notes),
@@ -403,6 +415,13 @@ def run(config: dict, output_dir: Optional[str] = None) -> dict:
     # the report lists no hash of itself, so it is written without one
     (outdir / "run_report.json").write_bytes(_json_bytes(report))
     return report
+
+
+def _finite(text: str) -> float:
+    """A config number as a double; ValueError for NaN, Infinity or overflow."""
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"{text} is not a finite number")
+    return value
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -422,8 +441,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0
 
     try:
-        config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        config = json.loads(Path(args.config).read_text(encoding="utf-8"),
+                            parse_float=_finite, parse_constant=_finite)
+    except (OSError, ValueError) as exc:  # ValueError: not strict JSON or UTF-8
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
 

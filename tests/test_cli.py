@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -92,6 +93,21 @@ REFUSED_BEFORE_RUN = {
     "kl codewords on different spaces": kl_config(
         [E0, interchange([3], [0.0, 1.0, 0.0])], [ID2]),
     "kl zero codeword": kl_config([E0, interchange([2], [0.0, 0.0])], [ID2]),
+}
+
+
+# Config files that stdlib json.loads reads but that are not strict JSON
+# (RFC 8259) or not UTF-8; each would otherwise run on a NaN or an infinity.
+_TOL_INF = kl_config([E0, E1], [ID2])
+_TOL_INF["params"]["tol"] = math.inf
+NOT_STRICT_JSON = {
+    "xsec g1 NaN": json.dumps(xsec_config(g1=math.nan)).encode(),
+    "qcd-rates temperature Infinity": json.dumps(
+        {"experiment": "qcd-rates", "params": {"temperatures": [math.inf]}}).encode(),
+    "kl-check tol Infinity": json.dumps(_TOL_INF).encode(),
+    "xsec lam -1e999": json.dumps(xsec_config(lam=-0.25)).replace(
+        "-0.25", "-1e999").encode(),
+    "not UTF-8": b"\xff\xfe{}",
 }
 
 
@@ -447,6 +463,16 @@ class TestMainExitCodes:
     def test_unreadable_config(self, tmp_path, capsys):
         assert cli.main(["run", str(tmp_path / "missing.json")]) == cli.EXIT_SCHEMA
 
+    @pytest.mark.parametrize("name", sorted(NOT_STRICT_JSON))
+    def test_config_file_must_be_strict_json(self, tmp_path, capsys, name):
+        path = tmp_path / "config.json"
+        path.write_bytes(NOT_STRICT_JSON[name])
+        for command in (["validate", str(path)],
+                        ["run", str(path), "--output-dir", str(tmp_path / "o")]):
+            assert cli.main(command) == cli.EXIT_SCHEMA
+            assert "error: cannot read config:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestRegistry:
     def test_every_schema_is_valid_against_its_metaschema(self):
@@ -543,6 +569,82 @@ def test_outputs_hash_the_files_on_disk(tmp_path, name):
         assert hashlib.sha256((tmp_path / file_name).read_bytes()).hexdigest() == digest
     saved = json.loads((tmp_path / "run_report.json").read_text(encoding="utf-8"))
     assert saved["outputs"] == report["outputs"]
+
+
+# --- config echo: interchange payloads as dims + SHA-256 -----------------------
+
+def payload_sha256(re, im) -> str:
+    """SHA-256 of re then im as little-endian doubles, packed without numpy."""
+    return hashlib.sha256(struct.pack(f"<{len(re) + len(im)}d", *re, *im)).hexdigest()
+
+
+def without_payloads(obj):
+    """obj with each interchange payload, or its echo, cut down to its dims."""
+    if isinstance(obj, list):
+        return [without_payloads(item) for item in obj]
+    if not isinstance(obj, dict):
+        return obj
+    if set(obj) in ({"dims", "re", "im"}, {"dims", "sha256"}):
+        return {"dims": obj["dims"]}
+    return {k: without_payloads(v) for k, v in obj.items()}
+
+
+def dense_kl_config_49():
+    """Two orthonormal codewords and six dense errors on a 7 x 7 space, as
+    the largest kl-check configs look: about 29 k floats."""
+    rng = np.random.default_rng(0)
+    words, _ = np.linalg.qr(rng.normal(size=(49, 2)) + 1j * rng.normal(size=(49, 2)))
+    errors = rng.normal(size=(6, 49 * 49)) + 1j * rng.normal(size=(6, 49 * 49))
+    return kl_config([interchange([7, 7], w.real.tolist(), w.imag.tolist())
+                      for w in words.T],
+                     [interchange([7, 7], e.real.tolist(), e.imag.tolist())
+                      for e in errors])
+
+
+class TestConfigEcho:
+    def test_payload_digest_is_its_doubles(self, tmp_path):
+        config = dense_kl_config()
+        report = cli.run(config, str(tmp_path))
+        for key in ("codewords", "errors"):
+            for payload, echoed in zip(config["params"][key],
+                                       report["config"]["params"][key]):
+                assert echoed == {"dims": payload["dims"], "sha256": payload_sha256(
+                    payload["re"], payload["im"])}
+
+    def test_digest_sees_one_ulp_not_int_vs_float(self, tmp_path):
+        def codeword_digest(config, name):
+            return cli.run(config, str(tmp_path / name))["config"]["params"][
+                "codewords"][0]["sha256"]
+        base = codeword_digest(kl_config([E0, E1], [ID2]), "base")
+        ulp = interchange([2], [math.nextafter(1.0, 2.0), 0.0])
+        assert codeword_digest(kl_config([ulp, E1], [ID2]), "ulp") != base
+        ints = interchange([2], [1, 0], [0, 0])
+        assert codeword_digest(kl_config([ints, E1], [ID2]), "ints") == base
+
+    @pytest.mark.parametrize("name", sorted(SMALL_CONFIGS))
+    def test_echo_is_the_config_apart_from_payloads(self, tmp_path, name):
+        config = SMALL_CONFIGS[name]
+        before = json.loads(json.dumps(config))
+        report = cli.run(config, str(tmp_path))
+        assert config == before
+        saved = json.loads((tmp_path / "run_report.json").read_text(encoding="utf-8"))
+        assert saved["config"] == report["config"]
+        assert without_payloads(report["config"]) == without_payloads(config)
+        if name != "kl-check":
+            assert report["config"] == config
+
+    @pytest.mark.parametrize("name", sorted(SMALL_CONFIGS))
+    def test_config_sha256_is_the_echo_json(self, tmp_path, name):
+        report = cli.run(SMALL_CONFIGS[name], str(tmp_path))
+        saved = json.loads((tmp_path / "run_report.json").read_text(encoding="utf-8"))
+        digest = hashlib.sha256(cli._json_bytes(saved["config"])).hexdigest()
+        assert report["config_sha256"] == saved["config_sha256"] == digest
+
+    def test_dense_report_stays_small(self, tmp_path):
+        config = dense_kl_config_49()
+        assert len(cli._json_bytes(config)) > 800_000  # about 0.9 MB echoed in full
+        cli.run(config, str(tmp_path))
+        assert (tmp_path / "run_report.json").stat().st_size < 8 * 1024
 
 
 # --- JSON writer: the bytes of json.dumps(indent=2, sort_keys=True) -----------
