@@ -135,26 +135,30 @@ def _run_kl_check(planned, outdir: Path, seed: Optional[int]) -> list[tuple[str,
 
 
 _ROTOR_AMP = 1.0 / np.sqrt(2.0)  # logical alpha = beta of the rotor experiment
-# Bytes a rotor plan or run may hold.  Its peak is five complex joint states
-# of (2 q_max + 1)^2 amplitudes: both codewords, their scaled copies and the
-# sum.
+# Bytes a rotor run may hold: tracemalloc peaks of cli.run grow by about 193 B
+# per nonzero amplitude (rows, sorted copies, CSV rows) over a fixed 140 KB.
 ROTOR_MEMORY_BUDGET = 2 ** 30
-ROTOR_STATE_COPIES = 5
+ROTOR_BASE_BYTES, ROTOR_ENTRY_BYTES = 2 ** 18, 256
+
+
+def _rotor_bytes(q_max: int, w: int) -> int:
+    """2 (2W + 1) entries (building refuses W > q_max) and a Born weight per B charge."""
+    entries = 2 * (2 * min(w, q_max) + 1)
+    return ROTOR_BASE_BYTES + ROTOR_ENTRY_BYTES * entries + 8 * (2 * q_max + 1)
 
 
 def _plan_rotor(params: dict):
-    need = ROTOR_STATE_COPIES * 16 * (2 * params["q_max"] + 1) ** 2
-    if need > ROTOR_MEMORY_BUDGET:
+    q_max, w = params["q_max"], params["w"]
+    if (need := _rotor_bytes(q_max, w)) > ROTOR_MEMORY_BUDGET:
         raise GuardExceededError(
-            f"rotor joint states need {need / 2 ** 20:.0f} MiB and exceed the "
+            f"rotor states need {need / 2 ** 20:.0f} MiB and exceed the "
             f"{ROTOR_MEMORY_BUDGET / 2 ** 20:.0f} MiB budget")
-    from . import hilbert, rotor
-    space = rotor.RotorSpace(params["q_max"])
+    from . import rotor
+    space = rotor.RotorSpace(q_max)
     q1, q2 = params["logical_charges"]
-    w1, _ = rotor.build_codeword(space, space, q1, params["profile"], params["w"])
-    w2, _ = rotor.build_codeword(space, space, q2, params["profile"], params["w"])
-    psi = hilbert.StateVector(w1.space,
-                              _ROTOR_AMP * w1.amplitudes + _ROTOR_AMP * w2.amplitudes)
+    w1, w2 = (rotor.build_codeword(space, space, q, params["profile"], w)[0]
+              for q in (q1, q2))
+    psi = w1.combine(_ROTOR_AMP, w2, _ROTOR_AMP)
     for q in params["error_charges"]:
         psi = rotor.apply_phase_flip(psi, q, params["error_side"])
     return psi, (q1, q2)
@@ -162,10 +166,9 @@ def _plan_rotor(params: dict):
 
 def _run_rotor(planned, outdir: Path, seed: Optional[int]) -> list[tuple[str, str]]:
     from . import rotor
-    psi, charges = planned
     rows = [[oc.outcome, oc.probability,
              rotor.logical_fidelity(oc.alpha, oc.beta, _ROTOR_AMP, _ROTOR_AMP)]
-            for oc in rotor.enumerate_recovery(psi, charges)]
+            for oc in rotor.enumerate_recovery(*planned)]
     return [_write_csv(outdir / "rotor_recovery.csv",
                        ["outcome_q_tilde", "probability", "recovered_fidelity"], rows)]
 
@@ -288,7 +291,6 @@ EXPERIMENTS = {
         "q_max": {"type": "integer", "minimum": 1},
         "w": {"type": "integer", "minimum": 0},
         "profile": {"type": "string", "enum": ["uniform", "gaussian"]},
-        "n_g": {"type": "integer", "minimum": 1},
         "logical_charges": {"type": "array", "items": {"type": "integer"},
                             "minItems": 2, "maxItems": 2, "uniqueItems": True},
         "error_side": {"type": "string", "enum": ["A", "B"]},
@@ -347,11 +349,23 @@ def config_schema() -> dict:
             "param_schemas": {name: e.schema for name, e in EXPERIMENTS.items()}}
 
 
+def _require_finite(obj) -> None:
+    """ConfigError for a number in ``obj`` that is not a finite double, outside
+    interchange payloads (keys exactly dims, re, im): ``hilbert`` checks those."""
+    if isinstance(obj, dict) and obj.keys() != {"dims", "re", "im"}:
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        for item in obj:
+            _require_finite(item)
+    elif isinstance(obj, (int, float)) and not abs(obj) <= sys.float_info.max:
+        raise ConfigError("params: a number is NaN, infinite or beyond the double range")
+
+
 def _plan(config: dict) -> tuple[Experiment, object]:
     """The config's experiment and planned inputs.
 
-    ConfigError for a schema violation, a missing seed or a value the plan
-    refuses; GuardExceededError when a guard refuses the config.
+    ConfigError for a schema violation, a non-finite number, a missing seed
+    or a value the plan refuses; GuardExceededError when a guard refuses the config.
     """
     error = best_match(_CONFIG_VALIDATOR.iter_errors(config))
     if error is not None:
@@ -361,6 +375,7 @@ def _plan(config: dict) -> tuple[Experiment, object]:
     error = best_match(experiment.validator.iter_errors(config["params"]))
     if error is not None:
         raise ConfigError(f"schema ({name} params): {error.message}")
+    _require_finite(config["params"])
     if experiment.stochastic and "seed" not in config:
         raise ConfigError(f"seed required for stochastic experiment {name!r}")
     try:

@@ -458,15 +458,12 @@ def _decode_failures(flips: np.ndarray) -> np.ndarray:
     bit 0.  A global flip of f leaves every syndrome unchanged, so the
     correction depends only on the syndrome: flip the bits that differ from
     bit 0, or, when those are more than n // 2, the complement (the chain
-    XOR a per-trial "flip all" bit).  A trial fails when every bit of the
-    residual is flipped.
+    XOR a per-trial "flip all" bit).  Every residual bit is then f_0 xor
+    flip_all, set (a failure) exactly when more than n // 2 bits flip.
     """
     f = np.ascontiguousarray(flips.T)
-    n = f.shape[0]
-    chain = f ^ f[0]
-    flip_all = chain.sum(axis=0, dtype=np.int32) > n // 2
-    residual = f ^ chain ^ flip_all
-    return residual.all(axis=0)
+    flip_all = (f ^ f[0]).sum(axis=0, dtype=np.int32) > f.shape[0] // 2
+    return f[0] ^ flip_all
 
 
 def logical_error_rate(n: int, p: float, trials: int, seed: int

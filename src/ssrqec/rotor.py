@@ -3,7 +3,9 @@
 The rotor is the charge ladder q = -q_max..q_max (dimension 2*q_max + 1).
 Two-mode codewords spread a logical charge q over a window of relative
 charges q_tilde on registers A and B; phase flips confined to B are
-corrected exactly by measuring B's charge and relabeling A.  The
+corrected exactly by measuring B's charge and relabeling A.  A codeword
+has 2W + 1 nonzero amplitudes and phase flips are diagonal in charge, so
+states are ``ChargeState`` lists of those amplitudes and their charges.  The
 ``m_inv`` construction simulates SSR-violating operators with a discrete
 reference register of phase states.
 """
@@ -12,11 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
-from .hilbert import (Operator, ProductSpace, StateVector, basis_state)
+from .hilbert import Operator, ProductSpace, StateVector
 
 PROB_FLOOR = 1e-15
 
@@ -39,9 +41,6 @@ class RotorSpace:
         if abs(q) > self.q_max:
             raise ValueError(f"charge {q} outside truncation |q| <= {self.q_max}")
         return q + self.q_max
-
-    def charge_of(self, index: int) -> int:
-        return index - self.q_max
 
     def product_space(self, label: str = "rotor") -> ProductSpace:
         return ProductSpace((self.dim,), (label,))
@@ -75,16 +74,38 @@ class GroupDiscretization:
         return 2.0 * np.pi * np.arange(self.n_g) / self.n_g
 
 
-def charge_state(space: RotorSpace, q: int) -> StateVector:
-    return basis_state(space.product_space(), space.index(q))
+class ChargeState:
+    """A state on rotor registers: row i of the int64 (entries x registers)
+    ``charges`` holds the register charges of ``amplitudes[i]``, and the rows
+    are distinct.  The last two registers are A and B; any before them (such
+    as a reference register R) are spectators."""
 
+    __slots__ = ("charges", "amplitudes", "spaces", "labels")
 
-def phase_flip(space: RotorSpace, q: int) -> Operator:
-    """Z_q = I - 2|q><q|: -1 at charge q, +1 elsewhere."""
-    d = space.dim
-    diag = np.ones(d, dtype=np.complex128)
-    diag[space.index(q)] = -1.0
-    return Operator(space.product_space(), np.diag(diag))
+    def __init__(self, charges: np.ndarray, amplitudes: np.ndarray, spaces, labels):
+        self.charges, self.amplitudes, self.spaces, self.labels = (
+            charges, amplitudes, tuple(spaces), tuple(labels))
+
+    def dense(self) -> StateVector:
+        """The ``StateVector`` on the product of the register spaces."""
+        space = ProductSpace(tuple(s.dim for s in self.spaces), self.labels)
+        index = self.charges + [s.q_max for s in self.spaces]
+        amps = np.zeros(space.dim, dtype=np.complex128)
+        amps[np.ravel_multi_index(index.T, space.factor_dims)] = self.amplitudes
+        return StateVector(space, amps)
+
+    def combine(self, a: complex, other: "ChargeState", b: complex) -> "ChargeState":
+        """a * self + b * other; amplitudes at a shared charge row add."""
+        if self.spaces != other.spaces:
+            raise ValueError("charge states on different registers")
+        charges = np.concatenate((self.charges, other.charges))
+        amps = np.concatenate((a * self.amplitudes, b * other.amplitudes))
+        order = np.lexsort(charges.T)
+        charges, amps = charges[order], amps[order]
+        new = np.ones(len(amps), dtype=bool)
+        new[1:] = (charges[1:] != charges[:-1]).any(axis=1)  # a repeat: one per state
+        return ChargeState(charges[new], np.add.reduceat(amps, np.flatnonzero(new)),
+                           self.spaces, self.labels)
 
 
 def _profile_coeffs(profile: str, window: int, sigma: Optional[float]) -> np.ndarray:
@@ -103,7 +124,7 @@ def _profile_coeffs(profile: str, window: int, sigma: Optional[float]) -> np.nda
 def build_codeword(space_a: RotorSpace, space_b: RotorSpace, q: int,
                    profile: str = "gaussian", window: int = 1,
                    sigma: Optional[float] = None
-                   ) -> tuple[StateVector, TwoModeCodeword]:
+                   ) -> tuple[ChargeState, TwoModeCodeword]:
     """Sum_{q~} c_{q,q~} |q - q~>_A |q~>_B, normalized.
 
     The window must fit the truncation: |q| + W <= q_max on A and
@@ -113,15 +134,10 @@ def build_codeword(space_a: RotorSpace, space_b: RotorSpace, q: int,
         raise ValueError(
             f"window {window} with logical charge {q} overflows the truncation")
     coeffs = _profile_coeffs(profile, window, sigma)
-    joint = space_a.product_space("A").tensor(space_b.product_space("B"))
-    amps = np.zeros(joint.dim, dtype=np.complex128)
-    db = space_b.dim
-    for k, q_tilde in enumerate(range(-window, window + 1)):
-        ia = space_a.index(q - q_tilde)
-        ib = space_b.index(q_tilde)
-        amps[ia * db + ib] = coeffs[k]
-    record = TwoModeCodeword(q, window, tuple(coeffs.tolist()))
-    return StateVector(joint, amps), record
+    q_tilde = np.arange(-window, window + 1)
+    state = ChargeState(np.stack((q - q_tilde, q_tilde), axis=1), coeffs,
+                        (space_a, space_b), ("A", "B"))
+    return state, TwoModeCodeword(q, window, tuple(coeffs.tolist()))
 
 
 @dataclass(frozen=True)
@@ -130,81 +146,62 @@ class RecoveryOutcome:
     probability: float
     alpha: complex               # recovered logical amplitudes, normalized
     beta: complex
-    post_state: StateVector      # on A tensor B after relabeling
     note: str = ("relabeling convention: outcome-conditioned reinterpretation "
                  "|q_i - q_tilde>_A carries logical i; no active rotation applied")
 
 
-def _split_dims(psi: StateVector) -> tuple[RotorSpace, RotorSpace]:
-    da, db = psi.space.factor_dims[-2], psi.space.factor_dims[-1]
-    if da % 2 == 0 or db % 2 == 0:
-        raise ValueError("rotor registers must have odd dimension")
-    return RotorSpace((da - 1) // 2), RotorSpace((db - 1) // 2)
-
-
-def apply_phase_flip(psi: StateVector, q: int, side: str) -> StateVector:
-    """Z_q on register ``side`` ("A" or "B") of ``psi``: negate its charge-q slice."""
-    space_a, space_b = _split_dims(psi)
-    amps = psi.amplitudes.reshape(-1, space_a.dim, space_b.dim).copy()
-    if side == "A":
-        sl = np.s_[:, space_a.index(q), :]
-    elif side == "B":
-        sl = np.s_[:, :, space_b.index(q)]
-    else:
+def apply_phase_flip(psi: ChargeState, q: int, side: str) -> ChargeState:
+    """Z_q on register ``side`` ("A" or "B") of ``psi``: negate its charge-q entries."""
+    if side not in ("A", "B"):
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    amps[sl] = -amps[sl]
-    return StateVector(psi.space, amps.reshape(-1))
+    col = -2 if side == "A" else -1
+    psi.spaces[col].index(q)  # ValueError outside the truncation
+    amps = np.where(psi.charges[:, col] == q, -psi.amplitudes, psi.amplitudes)
+    return ChargeState(psi.charges, amps, psi.spaces, psi.labels)
 
 
-def enumerate_recovery(psi: StateVector, logical_charges: tuple[int, int]
+def enumerate_recovery(psi: ChargeState, logical_charges: tuple[int, int]
                        ) -> Iterator[RecoveryOutcome]:
     """All B-measurement outcomes with their Born probabilities.
 
-    ``psi`` lives on A tensor B (possibly error-corrupted superposition of
-    two codewords built with identical coefficient profiles).  For each
-    outcome q_tilde the surviving A-register branch is projected onto
-    |q_1 - q_tilde>_A and |q_2 - q_tilde>_A to extract the logical pair.
+    ``psi`` lives on A tensor B, after any spectators (possibly an
+    error-corrupted superposition of two codewords built with identical
+    coefficient profiles).  For each outcome q_tilde the surviving A-register
+    branch is projected onto |q_1 - q_tilde>_A and |q_2 - q_tilde>_A to
+    extract the logical pair.  Sorted by B charge, then by the registers in
+    order, each outcome is a slice, and ``bincount`` sums Born weights in
+    the dense column order: the probabilities are the dense ones bitwise.
     """
     q1, q2 = logical_charges
     if q1 == q2:
         raise ValueError("logical charges must differ")
-    space_a, space_b = _split_dims(psi)
-    da, db = space_a.dim, space_b.dim
-    prefix = psi.space.dim // (da * db)  # spectator registers (e.g. R) ride along
-    amps = psi.amplitudes.reshape(prefix, da, db)
-    probs = np.sum(np.abs(amps) ** 2, axis=(0, 1))
+    space_a, space_b = psi.spaces[-2:]
+    order = np.lexsort(np.roll(psi.charges, 1, axis=1).T[::-1])  # last key first
+    charges, amps = psi.charges[order], psi.amplitudes[order]
+    weights = np.abs(amps) ** 2
+    probs = np.bincount(charges[:, -1] + space_b.q_max, weights, space_b.dim)
     total = probs.sum()
     if total <= 0:
         raise ValueError("zero-norm state")
-    probs = probs / total
-    for ib in range(db):
-        p = float(probs[ib])
-        if p < PROB_FLOOR:
-            continue
-        q_tilde = space_b.charge_of(ib)
-        try:
-            ia1 = space_a.index(q1 - q_tilde)
-            ia2 = space_a.index(q2 - q_tilde)
-        except ValueError:
-            continue  # outcome incompatible with both logical charges
-        v1 = amps[:, ia1, ib]
-        v2 = amps[:, ia2, ib]
-        nrm = math.sqrt(float(np.sum(np.abs(v1) ** 2 + np.abs(v2) ** 2)))
+    probs /= total
+    bounds = (np.flatnonzero(np.diff(charges[:, -1])) + 1).tolist()
+    for lo, hi in zip([0, *bounds], [*bounds, len(amps)]):
+        q_tilde = int(charges[lo, -1])
+        p = float(probs[q_tilde + space_b.q_max])
+        if p < PROB_FLOOR or max(abs(q1 - q_tilde), abs(q2 - q_tilde)) > space_a.q_max:
+            continue  # improbable, or incompatible with both logical charges
+        in1, in2 = (charges[lo:hi, -2] == q - q_tilde for q in (q1, q2))
+        nrm = math.sqrt(float(weights[lo:hi][in1].sum() + weights[lo:hi][in2].sum()))
         if nrm < PROB_FLOOR:
             continue
         # phase-bearing scalars: each logical branch couples to a single
         # spectator component, so the dominant entry carries the amplitude
-        a_raw = v1[int(np.argmax(np.abs(v1)))]
-        b_raw = v2[int(np.argmax(np.abs(v2)))]
-        alpha, beta = a_raw / nrm, b_raw / nrm
-        post = np.zeros((prefix, da, db), dtype=np.complex128)
-        post[:, ia1, ib] = v1 / nrm
-        post[:, ia2, ib] = v2 / nrm
-        yield RecoveryOutcome(q_tilde, p, alpha, beta,
-                              StateVector(psi.space, post.reshape(-1)))
+        a_raw, b_raw = (v[np.argmax(np.abs(v))] if v.size else np.complex128(0)
+                        for v in (amps[lo:hi][in1], amps[lo:hi][in2]))
+        yield RecoveryOutcome(q_tilde, p, a_raw / nrm, b_raw / nrm)
 
 
-def recover_by_measuring_B(psi: StateVector, logical_charges: tuple[int, int],
+def recover_by_measuring_B(psi: ChargeState, logical_charges: tuple[int, int],
                            rng: Optional[np.random.Generator] = None,
                            outcome: Optional[int] = None) -> RecoveryOutcome:
     """Sample (or force) one B-charge measurement outcome and recover.
@@ -218,12 +215,10 @@ def recover_by_measuring_B(psi: StateVector, logical_charges: tuple[int, int],
             raise ValueError(
                 f"outcome {outcome} has probability < {PROB_FLOOR} or is invalid")
         return outcomes[outcome]
-    if rng is None:
-        rng = np.random.default_rng()
-    keys = sorted(outcomes)
+    keys = list(outcomes)  # ascending, as enumerate_recovery yields them
     p = np.array([outcomes[k].probability for k in keys])
-    choice = keys[int(rng.choice(len(keys), p=p / p.sum()))]
-    return outcomes[choice]
+    rng = np.random.default_rng() if rng is None else rng
+    return outcomes[keys[int(rng.choice(len(keys), p=p / p.sum()))]]
 
 
 def logical_fidelity(alpha: complex, beta: complex,
@@ -246,10 +241,8 @@ def wrong_guess_error_probability(space_a: RotorSpace, space_b: RotorSpace,
     the input beyond a global phase.
     """
     q1, q2 = logical_charges
-    w1, _ = build_codeword(space_a, space_b, q1, profile, window)
-    w2, _ = build_codeword(space_a, space_b, q2, profile, window)
-    psi = StateVector(w1.space, alpha * w1.amplitudes + beta * w2.amplitudes)
-    corrupted = apply_phase_flip(psi, flip_charge, "A")
+    w1, w2 = (build_codeword(space_a, space_b, q, profile, window)[0] for q in (q1, q2))
+    corrupted = apply_phase_flip(w1.combine(alpha, w2, beta), flip_charge, "A")
     p_err = 0.0
     for oc in enumerate_recovery(corrupted, logical_charges):
         if logical_fidelity(oc.alpha, oc.beta, alpha, beta) < 1.0 - fidelity_tol:
@@ -293,7 +286,7 @@ def m_inv(m_op: Operator, disc: GroupDiscretization) -> Operator:
 def prepare_simulated_superposition(alphas: Mapping[int, complex],
                                     space: RotorSpace,
                                     profile: str = "gaussian", window: int = 1,
-                                    sigma: Optional[float] = None) -> StateVector:
+                                    sigma: Optional[float] = None) -> ChargeState:
     """Sum_{q, q~} alpha_q c_{q,q~} |-q>_R |q - q~>_A |q~>_B.
 
     The reference register R carries the compensating charge so the total
@@ -302,19 +295,13 @@ def prepare_simulated_superposition(alphas: Mapping[int, complex],
     total = sum(abs(a) ** 2 for a in alphas.values())
     if abs(total - 1.0) > 1e-9:
         raise ValueError("alpha amplitudes must be normalized")
-    coeffs = _profile_coeffs(profile, window, sigma)
-    d = space.dim
-    amps = np.zeros(d * d * d, dtype=np.complex128)
+    charges, amps = [], []
     for q, a_q in alphas.items():
-        if abs(q) + window > space.q_max:
-            raise ValueError(f"charge {q} with window {window} overflows truncation")
-        ir = space.index(-q)
-        for k, q_tilde in enumerate(range(-window, window + 1)):
-            ia = space.index(q - q_tilde)
-            ib = space.index(q_tilde)
-            amps[(ir * d + ia) * d + ib] += a_q * coeffs[k]
-    joint = ProductSpace((d, d, d), ("R", "A", "B"))
-    return StateVector(joint, amps)
+        word = build_codeword(space, space, q, profile, window, sigma)[0]
+        charges.append(np.column_stack((np.full(len(word.charges), -q), word.charges)))
+        amps.append(a_q * word.amplitudes)
+    return ChargeState(np.concatenate(charges), np.concatenate(amps),
+                       (space,) * 3, ("R", "A", "B"))
 
 
 def total_charge_operator(space: RotorSpace, n_registers: int) -> Operator:

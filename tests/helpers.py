@@ -1,24 +1,36 @@
 """Small operators, states and closed forms that only the tests use.
 
 Nothing in ``ssrqec`` calls these, so they live beside the tests that
-exercise them: the rotor charge operator, the truncated shift ``U+`` and
-the phase states of the invariant simulation; the full trace of a density
-matrix; the QCD code's effective distance and its electromagnetic phase
-error.
+exercise them: the rotor charge states and charge operator, the truncated
+shift ``U+`` and the phase states of the invariant simulation; the full
+trace of a density matrix; the QCD code's effective distance and its
+electromagnetic phase error.  The dense rotor protocol (single-register ``phase_flip``, codewords,
+simulated superpositions, phase flips and B-measurement recovery on dense
+joint vectors) is the oracle for the charge-list states of ``ssrqec.rotor``.
 
 Truncation boundary: ``shift_up`` annihilates the top charge rather than
 wrapping around, so boundary leakage shows up as norm loss instead of a
 silent SSR violation.
 """
 
+import math
+from dataclasses import dataclass
+from typing import Iterator, Mapping, Optional
+
 import numpy as np
 
-from ssrqec.hilbert import DensityMatrix, Operator, StateVector
-from ssrqec.rotor import GroupDiscretization, RotorSpace
+from ssrqec.hilbert import (DensityMatrix, Operator, ProductSpace, StateVector,
+                            basis_state)
+from ssrqec.rotor import (PROB_FLOOR, ChargeState, GroupDiscretization,
+                          RotorSpace, TwoModeCodeword, _profile_coeffs)
 
 
 def trace_all(rho: DensityMatrix) -> complex:
     return complex(np.trace(rho.matrix))
+
+
+def charge_state(space: RotorSpace, q: int) -> StateVector:
+    return basis_state(space.product_space(), space.index(q))
 
 
 def charge_operator(space: RotorSpace) -> Operator:
@@ -59,3 +71,155 @@ def em_phase_error(theta: float) -> tuple[complex, complex]:
     a1 = np.exp(-1j * theta / 2.0) * np.cos(theta / 2.0)
     a2 = -1j * np.exp(-1j * theta / 2.0) * np.sin(theta / 2.0)
     return complex(a1), complex(a2)
+
+
+# ---------------------------------------------------------------------------
+# Dense rotor protocol: the oracle for ssrqec.rotor.ChargeState
+
+
+def from_dense(psi: StateVector) -> ChargeState:
+    """The nonzero amplitudes of a dense state on rotor registers (odd dims)."""
+    spaces = tuple(RotorSpace((d - 1) // 2) for d in psi.space.factor_dims)
+    idx = np.flatnonzero(psi.amplitudes)
+    charges = np.stack(np.unravel_index(idx, psi.space.factor_dims), axis=1)
+    return ChargeState(charges - [s.q_max for s in spaces], psi.amplitudes[idx],
+                       spaces, psi.space.labels)
+
+
+def phase_flip(space: RotorSpace, q: int) -> Operator:
+    """Z_q = I - 2|q><q|: -1 at charge q, +1 elsewhere."""
+    d = space.dim
+    diag = np.ones(d, dtype=np.complex128)
+    diag[space.index(q)] = -1.0
+    return Operator(space.product_space(), np.diag(diag))
+
+
+def build_codeword(space_a: RotorSpace, space_b: RotorSpace, q: int,
+                   profile: str = "gaussian", window: int = 1,
+                   sigma: Optional[float] = None
+                   ) -> tuple[StateVector, TwoModeCodeword]:
+    """Sum_{q~} c_{q,q~} |q - q~>_A |q~>_B, normalized.
+
+    The window must fit the truncation: |q| + W <= q_max on A and
+    W <= q_max on B, so no component leaves either register.
+    """
+    if abs(q) + window > space_a.q_max or window > space_b.q_max:
+        raise ValueError(
+            f"window {window} with logical charge {q} overflows the truncation")
+    coeffs = _profile_coeffs(profile, window, sigma)
+    joint = space_a.product_space("A").tensor(space_b.product_space("B"))
+    amps = np.zeros(joint.dim, dtype=np.complex128)
+    db = space_b.dim
+    for k, q_tilde in enumerate(range(-window, window + 1)):
+        ia = space_a.index(q - q_tilde)
+        ib = space_b.index(q_tilde)
+        amps[ia * db + ib] = coeffs[k]
+    record = TwoModeCodeword(q, window, tuple(coeffs.tolist()))
+    return StateVector(joint, amps), record
+
+
+@dataclass(frozen=True)
+class RecoveryOutcome:
+    outcome: int                 # measured B charge q_tilde
+    probability: float
+    alpha: complex               # recovered logical amplitudes, normalized
+    beta: complex
+    post_state: StateVector      # on A tensor B after relabeling
+    note: str = ("relabeling convention: outcome-conditioned reinterpretation "
+                 "|q_i - q_tilde>_A carries logical i; no active rotation applied")
+
+
+def _split_dims(psi: StateVector) -> tuple[RotorSpace, RotorSpace]:
+    da, db = psi.space.factor_dims[-2], psi.space.factor_dims[-1]
+    if da % 2 == 0 or db % 2 == 0:
+        raise ValueError("rotor registers must have odd dimension")
+    return RotorSpace((da - 1) // 2), RotorSpace((db - 1) // 2)
+
+
+def apply_phase_flip(psi: StateVector, q: int, side: str) -> StateVector:
+    """Z_q on register ``side`` ("A" or "B") of ``psi``: negate its charge-q slice."""
+    space_a, space_b = _split_dims(psi)
+    amps = psi.amplitudes.reshape(-1, space_a.dim, space_b.dim).copy()
+    if side == "A":
+        sl = np.s_[:, space_a.index(q), :]
+    elif side == "B":
+        sl = np.s_[:, :, space_b.index(q)]
+    else:
+        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+    amps[sl] = -amps[sl]
+    return StateVector(psi.space, amps.reshape(-1))
+
+
+def enumerate_recovery(psi: StateVector, logical_charges: tuple[int, int]
+                       ) -> Iterator[RecoveryOutcome]:
+    """All B-measurement outcomes with their Born probabilities.
+
+    ``psi`` lives on A tensor B (possibly error-corrupted superposition of
+    two codewords built with identical coefficient profiles).  For each
+    outcome q_tilde the surviving A-register branch is projected onto
+    |q_1 - q_tilde>_A and |q_2 - q_tilde>_A to extract the logical pair.
+    """
+    q1, q2 = logical_charges
+    if q1 == q2:
+        raise ValueError("logical charges must differ")
+    space_a, space_b = _split_dims(psi)
+    da, db = space_a.dim, space_b.dim
+    prefix = psi.space.dim // (da * db)  # spectator registers (e.g. R) ride along
+    amps = psi.amplitudes.reshape(prefix, da, db)
+    probs = np.sum(np.abs(amps) ** 2, axis=(0, 1))
+    total = probs.sum()
+    if total <= 0:
+        raise ValueError("zero-norm state")
+    probs = probs / total
+    for ib in range(db):
+        p = float(probs[ib])
+        if p < PROB_FLOOR:
+            continue
+        q_tilde = ib - space_b.q_max
+        try:
+            ia1 = space_a.index(q1 - q_tilde)
+            ia2 = space_a.index(q2 - q_tilde)
+        except ValueError:
+            continue  # outcome incompatible with both logical charges
+        v1 = amps[:, ia1, ib]
+        v2 = amps[:, ia2, ib]
+        nrm = math.sqrt(float(np.sum(np.abs(v1) ** 2 + np.abs(v2) ** 2)))
+        if nrm < PROB_FLOOR:
+            continue
+        # phase-bearing scalars: each logical branch couples to a single
+        # spectator component, so the dominant entry carries the amplitude
+        a_raw = v1[int(np.argmax(np.abs(v1)))]
+        b_raw = v2[int(np.argmax(np.abs(v2)))]
+        alpha, beta = a_raw / nrm, b_raw / nrm
+        post = np.zeros((prefix, da, db), dtype=np.complex128)
+        post[:, ia1, ib] = v1 / nrm
+        post[:, ia2, ib] = v2 / nrm
+        yield RecoveryOutcome(q_tilde, p, alpha, beta,
+                              StateVector(psi.space, post.reshape(-1)))
+
+
+def prepare_simulated_superposition(alphas: Mapping[int, complex],
+                                    space: RotorSpace,
+                                    profile: str = "gaussian", window: int = 1,
+                                    sigma: Optional[float] = None) -> StateVector:
+    """Sum_{q, q~} alpha_q c_{q,q~} |-q>_R |q - q~>_A |q~>_B.
+
+    The reference register R carries the compensating charge so the total
+    state is a zero eigenstate of the overall charge.
+    """
+    total = sum(abs(a) ** 2 for a in alphas.values())
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError("alpha amplitudes must be normalized")
+    coeffs = _profile_coeffs(profile, window, sigma)
+    d = space.dim
+    amps = np.zeros(d * d * d, dtype=np.complex128)
+    for q, a_q in alphas.items():
+        if abs(q) + window > space.q_max:
+            raise ValueError(f"charge {q} with window {window} overflows truncation")
+        ir = space.index(-q)
+        for k, q_tilde in enumerate(range(-window, window + 1)):
+            ia = space.index(q - q_tilde)
+            ib = space.index(q_tilde)
+            amps[(ir * d + ia) * d + ib] += a_q * coeffs[k]
+    joint = ProductSpace((d, d, d), ("R", "A", "B"))
+    return StateVector(joint, amps)

@@ -21,8 +21,8 @@ from ssrqec.qcdcode import (DEFAULTS, MomentumGrid, apply_scattering_error,
                             pion_mass, sm_flip_suppression, syndrome_outcomes,
                             thermal_flip_suppression, toy_amplitude_table)
 from ssrqec.rotor import (GroupDiscretization, RotorSpace, build_codeword,
-                          charge_state, enumerate_recovery, logical_fidelity,
-                          m_inv, phase_flip, wrong_guess_error_probability)
+                          enumerate_recovery, logical_fidelity, m_inv,
+                          wrong_guess_error_probability)
 from ssrqec.scatter import (cm_kinematics, cm_momentum, sigma_tot,
                             spin_summed_amp2, threshold_incident_energy)
 from ssrqec.toriccode import (TorusLattice, apply_pauli,
@@ -30,6 +30,7 @@ from ssrqec.toriccode import (TorusLattice, apply_pauli,
                               kl_check_paulis, kl_check_toric, pauli_identity,
                               sector_basis, ssr_exact_zero_check, wilson_loop)
 
+from helpers import from_dense, phase_flip
 from test_scatter import trace_amp2
 from toric_oracles import ssr_certificate
 
@@ -49,7 +50,7 @@ def test_criterion_1_sector_respecting_errors_zero_off_diagonal():
     space = RotorSpace(4)
     w0, _ = build_codeword(space, space, 0, "uniform", 1)
     w1, _ = build_codeword(space, space, 1, "uniform", 1)
-    code = CodeSpace((w0, w1))
+    code = CodeSpace((w0.dense(), w1.dense()))
     cw = code.matrix()
     ident = identity(space.product_space())
     rotor_ops = [tensor_product(phase_flip(space, q), ident)
@@ -94,8 +95,8 @@ def test_criterion_3_rotor_recovery_and_wrong_guess_bound():
     start = time.perf_counter()
     space = RotorSpace(6)
     for window in (1, 2, 4):
-        w1, _ = build_codeword(space, space, 0, "gaussian", window)
-        w2, _ = build_codeword(space, space, 1, "gaussian", window)
+        w1 = build_codeword(space, space, 0, "gaussian", window)[0].dense()
+        w2 = build_codeword(space, space, 1, "gaussian", window)[0].dense()
         psi = StateVector(w1.space,
                           (w1.amplitudes + w2.amplitudes) * INV_SQRT2)
         ident = identity(space.product_space())
@@ -107,7 +108,7 @@ def test_criterion_3_rotor_recovery_and_wrong_guess_bound():
             for q in flips:
                 z = z @ phase_flip(space, q)
             corrupted = apply(tensor_product(ident, z), psi)
-            outcomes = list(enumerate_recovery(corrupted, (0, 1)))
+            outcomes = list(enumerate_recovery(from_dense(corrupted), (0, 1)))
             assert outcomes
             for oc in outcomes:
                 fid = logical_fidelity(oc.alpha, oc.beta, INV_SQRT2, INV_SQRT2)

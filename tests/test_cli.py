@@ -11,6 +11,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -25,6 +26,8 @@ from ssrqec.hilbert import (ProductSpace, StateVector, apply, basis_state,
                             identity, operator_to_json, tensor_product,
                             vector_to_json)
 from ssrqec.qcdcode import binomial_tail
+
+import helpers
 
 
 def write_config(tmp_path, config, name="config.json"):
@@ -93,6 +96,16 @@ REFUSED_BEFORE_RUN = {
     "kl codewords on different spaces": kl_config(
         [E0, interchange([3], [0.0, 1.0, 0.0])], [ID2]),
     "kl zero codeword": kl_config([E0, interchange([2], [0.0, 0.0])], [ID2]),
+}
+
+
+# Non-finite numbers and an int beyond the double range, as a Python caller
+# can pass them; the file reader of main refuses the first two before planning.
+_TORIC_TOL_INF = {"experiment": "toric", "params": {"n": 2, "l": 2, "tol": math.inf}}
+NOT_FINITE = {
+    "xsec g1 NaN": xsec_config(g1=math.nan),
+    "toric tol inf": _TORIC_TOL_INF,
+    "xsec g1 10**400": xsec_config(g1=10 ** 400),
 }
 
 
@@ -253,17 +266,17 @@ class TestRun:
         # reference: the dense Z_q (x) I / I (x) Z_q operators applied in turn
         space = rotor.RotorSpace(q_max)
         alpha = beta = 1.0 / np.sqrt(2.0)
-        w1, _ = rotor.build_codeword(space, space, 0, profile, w)
-        w2, _ = rotor.build_codeword(space, space, 1, profile, w)
+        w1, _ = helpers.build_codeword(space, space, 0, profile, w)
+        w2, _ = helpers.build_codeword(space, space, 1, profile, w)
         psi = StateVector(w1.space, alpha * w1.amplitudes + beta * w2.amplitudes)
         ident = identity(space.product_space())
         for q in flips:
-            z = rotor.phase_flip(space, q)
+            z = helpers.phase_flip(space, q)
             psi = apply(tensor_product(z, ident) if side == "A"
                         else tensor_product(ident, z), psi)
         expect = [[cli._fmt(oc.outcome), cli._fmt(oc.probability),
                    cli._fmt(rotor.logical_fidelity(oc.alpha, oc.beta, alpha, beta))]
-                  for oc in rotor.enumerate_recovery(psi, (0, 1))]
+                  for oc in helpers.enumerate_recovery(psi, (0, 1))]
         cli.run(rotor_config(q_max=q_max, w=w, profile=profile, error_side=side,
                              error_charges=flips), str(tmp_path))
         with open(tmp_path / "rotor_recovery.csv", newline="") as fh:
@@ -389,7 +402,7 @@ class TestMainExitCodes:
             return {"experiment": "toric", "params": {"n": n, "l": l, "max_weight": w}}
         for name, config in (("a", toric(2, 5, 2)), ("b", toric(4, 3, 2)),
                              ("c", xsec_config(n_theta=2 ** 14)),
-                             ("d", rotor_config(q_max=10 ** 5))):
+                             ("d", rotor_config(q_max=10 ** 8))):
             cfg = write_config(tmp_path, config, f"{name}.json")
             assert cli.main(["validate", str(cfg)]) == cli.EXIT_GUARD
             assert cli.main(["run", str(cfg), "--output-dir",
@@ -399,13 +412,32 @@ class TestMainExitCodes:
     def test_rotor_guard_refuses_before_allocating(self):
         tracemalloc.start()
         try:
-            diags = cli.validate(rotor_config(q_max=10 ** 5))
+            diags = cli.validate(rotor_config(q_max=10 ** 8))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert len(diags) == 1 and "guard" in diags[0]
         assert peak < 2 ** 20
         assert cli.validate(rotor_config(q_max=400, w=3)) == []
+
+    def test_rotor_guard_counts_the_window(self):
+        # entries, not only q_max: a window near q_max outgrows the budget
+        assert cli.validate(rotor_config(q_max=10 ** 6, w=3)) == []
+        diags = cli.validate(rotor_config(q_max=3 * 10 ** 6, w=3 * 10 ** 6 - 1))
+        assert len(diags) == 1 and "guard" in diags[0]
+
+    @pytest.mark.parametrize("name", sorted(NOT_FINITE))
+    def test_not_finite_refused_for_python_callers(self, tmp_path, capsys, name):
+        config = NOT_FINITE[name]
+        assert len(cli.validate(config)) == 1
+        with pytest.raises(cli.ConfigError):
+            cli.run(config, str(tmp_path / "o"))
+        assert not (tmp_path / "o").exists()
+        path = write_config(tmp_path, config)
+        assert cli.main(["validate", str(path)]) == cli.EXIT_SCHEMA
+        assert cli.main(["run", str(path), "--output-dir",
+                         str(tmp_path / "o")]) == cli.EXIT_SCHEMA
+        assert not (tmp_path / "o").exists()
 
     def test_largest_seed_runs(self, tmp_path, capsys):
         cfg = qcd_config(trials=500)
@@ -458,7 +490,7 @@ class TestMainExitCodes:
         assert json.loads(out)["required"] == ["experiment", "params"]
         # digest recorded with print(json.dumps(schema, indent=2, sort_keys=True))
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
-            "0f01adc36d77bdc4d7de4edba91301c6f99bd8ea855e13bb44f1c3633ea4977b"
+            "d75f457db9d160136f2df1e1a6b3d9f2f03be29b083ea2eb0b90c9e877660f6b"
 
     def test_unreadable_config(self, tmp_path, capsys):
         assert cli.main(["run", str(tmp_path / "missing.json")]) == cli.EXIT_SCHEMA
@@ -845,3 +877,73 @@ def test_validate_and_run_agree(config):
             assert ran in (0, cli.EXIT_GUARD), err.getvalue()
         else:
             assert ran == checked and not out.exists(), err.getvalue()
+
+
+# --- rotor on charge lists ------------------------------------------------
+
+
+def dense_rotor_rows(params: dict) -> list[list[str]]:
+    """``rotor_recovery.csv`` rows as the dense joint-vector run computed them."""
+    space = rotor.RotorSpace(params["q_max"])
+    charges = tuple(params["logical_charges"])
+    amp = cli._ROTOR_AMP
+    w1, _ = helpers.build_codeword(space, space, charges[0], params["profile"], params["w"])
+    w2, _ = helpers.build_codeword(space, space, charges[1], params["profile"], params["w"])
+    psi = StateVector(w1.space, amp * w1.amplitudes + amp * w2.amplitudes)
+    for q in params["error_charges"]:
+        psi = helpers.apply_phase_flip(psi, q, params["error_side"])
+    return [[cli._fmt(oc.outcome), cli._fmt(oc.probability),
+             cli._fmt(rotor.logical_fidelity(oc.alpha, oc.beta, amp, amp))]
+            for oc in helpers.enumerate_recovery(psi, charges)]
+
+
+@st.composite
+def rotor_params(draw):
+    q_max = draw(st.integers(1, 40))
+    charges = draw(st.lists(st.integers(-q_max, q_max), min_size=2, max_size=2,
+                            unique=True))
+    w = draw(st.integers(0, q_max - max(map(abs, charges))))
+    # any charge in the truncation: inside or outside the window, repeated
+    flips = draw(st.lists(st.integers(-q_max, q_max), max_size=6))
+    flips += draw(st.lists(st.sampled_from(flips), max_size=2)) if flips else []
+    return {"q_max": q_max, "w": w,
+            "profile": draw(st.sampled_from(["uniform", "gaussian"])),
+            "logical_charges": charges,
+            "error_side": draw(st.sampled_from(["A", "B"])),
+            "error_charges": flips}
+
+
+@settings(max_examples=150, deadline=None)
+@given(rotor_params())
+def test_rotor_rows_string_equal_dense_oracle(params):
+    with tempfile.TemporaryDirectory() as tmp:
+        cli.run({"experiment": "rotor", "params": params}, tmp)
+        with open(Path(tmp) / "rotor_recovery.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+    assert rows == dense_rotor_rows(params)
+
+
+def traced_peak(config: dict, outdir: Path) -> int:
+    tracemalloc.start()
+    try:
+        cli.run(config, str(outdir))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRotorGuard:
+    def test_large_q_max_runs_fast_within_prediction(self, tmp_path):
+        config = rotor_config(q_max=10 ** 6, w=3, error_side="A", error_charges=[0, 2])
+        start = time.perf_counter()
+        cli.run(config, str(tmp_path))
+        assert time.perf_counter() - start < 1.0
+        assert traced_peak(config, tmp_path) <= cli._rotor_bytes(10 ** 6, 3)
+
+    @pytest.mark.parametrize("q_max, w, side, flips", [
+        (4, 1, "B", [1]), (40, 39, "A", [0, 3, -7]), (1000, 999, "B", [5, 5, -999]),
+        (10 ** 5, 300, "A", list(range(-20, 21)))])
+    def test_peak_within_prediction(self, tmp_path, q_max, w, side, flips):
+        config = rotor_config(q_max=q_max, w=w, error_side=side, error_charges=flips)
+        cli.run(config, str(tmp_path))  # first call: imports and caches
+        assert traced_peak(config, tmp_path) <= cli._rotor_bytes(q_max, w)

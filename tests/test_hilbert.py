@@ -73,7 +73,8 @@ class TestApply:
 
     def test_shift_on_truncated_ladder(self):
         # |q=1> -> |q=2> on the 5-dim charge ladder
-        from ssrqec.rotor import RotorSpace, charge_state
+        from helpers import charge_state
+        from ssrqec.rotor import RotorSpace
         space = RotorSpace(2)
         out = apply(shift_up(space), charge_state(space, 1))
         np.testing.assert_allclose(out.amplitudes,

@@ -9,9 +9,9 @@ from ssrqec.hilbert import (Operator, ProductSpace, StateVector, basis_state,
                             identity, tensor_product)
 from ssrqec.klcore import (CodeSpace, ErrorSet, kl_check, kraus_extract,
                            report_from_elements, ssr_sector_check)
-from ssrqec.rotor import RotorSpace, charge_state
+from ssrqec.rotor import RotorSpace
 
-from helpers import charge_operator, shift_up
+from helpers import charge_operator, charge_state, shift_up
 
 SP2 = ProductSpace((2,))
 X = Operator(SP2, np.array([[0, 1], [1, 0]], dtype=complex))

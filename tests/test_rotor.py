@@ -7,16 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssrqec.hilbert import (Operator, ProductSpace, StateVector, apply,
-                            basis_state, identity, inner, tensor_product)
-from ssrqec.rotor import (GroupDiscretization, RotorSpace, apply_phase_flip,
-                          build_codeword, charge_state, enumerate_recovery,
-                          logical_fidelity, m_inv, phase_flip,
+from ssrqec.hilbert import (Operator, ProductSpace, apply, basis_state,
+                            identity, inner, tensor_product)
+from ssrqec.rotor import (ChargeState, GroupDiscretization, RotorSpace,
+                          apply_phase_flip, build_codeword,
+                          enumerate_recovery, logical_fidelity, m_inv,
                           prepare_simulated_superposition,
                           recover_by_measuring_B, total_charge_operator,
                           wrong_guess_error_probability)
 
-from helpers import charge_operator, phase_state, shift_up
+import helpers
+from helpers import (charge_operator, charge_state, from_dense, phase_flip,
+                     phase_state, shift_up)
 
 INV_SQRT2 = 1 / np.sqrt(2)
 
@@ -25,8 +27,7 @@ def superpose(space, charges, profile, window):
     q1, q2 = charges
     w1, _ = build_codeword(space, space, q1, profile, window)
     w2, _ = build_codeword(space, space, q2, profile, window)
-    return StateVector(w1.space,
-                       (w1.amplitudes + w2.amplitudes) * INV_SQRT2)
+    return w1.combine(INV_SQRT2, w2, INV_SQRT2)
 
 
 class TestChargeBasis:
@@ -89,7 +90,7 @@ class TestBuildCodeword:
         space = RotorSpace(2)
         psi, rec = build_codeword(space, space, 0, "uniform", 0)
         expect = tensor_product(charge_state(space, 0), charge_state(space, 0))
-        np.testing.assert_allclose(psi.amplitudes, expect.amplitudes)
+        np.testing.assert_allclose(psi.dense().amplitudes, expect.amplitudes)
         assert rec.coeff(0) == pytest.approx(1.0)
 
     def test_uniform_window_one_expansion(self):
@@ -98,15 +99,15 @@ class TestBuildCodeword:
         expect = np.zeros(space.dim ** 2, dtype=complex)
         for qa, qb in ((2, -1), (1, 0), (0, 1)):
             expect[space.index(qa) * space.dim + space.index(qb)] = INV_SQRT2 * np.sqrt(2 / 3)
-        np.testing.assert_allclose(psi.amplitudes, expect, atol=1e-12)
+        np.testing.assert_allclose(psi.dense().amplitudes, expect, atol=1e-12)
 
     def test_total_charge_eigenstate(self):
         space = RotorSpace(4)
         for q in (-1, 0, 2):
             psi, _ = build_codeword(space, space, q, "gaussian", 2)
             q_tot = total_charge_operator(space, 2)
-            out = apply(q_tot, psi)
-            np.testing.assert_allclose(out.amplitudes, q * psi.amplitudes,
+            out = apply(q_tot, psi.dense())
+            np.testing.assert_allclose(out.amplitudes, q * psi.dense().amplitudes,
                                        atol=1e-12)
 
     def test_window_overflow_rejected(self):
@@ -133,8 +134,8 @@ class TestRecovery:
         for charges in itertools.combinations(range(-3, 4), 2):
             err = ident_a
             z = phase_flip(space, charges[0]) @ phase_flip(space, charges[1])
-            corrupted = apply(tensor_product(ident_a, z), psi)
-            for oc in enumerate_recovery(corrupted, (0, 1)):
+            corrupted = apply(tensor_product(ident_a, z), psi.dense())
+            for oc in enumerate_recovery(from_dense(corrupted), (0, 1)):
                 fid = logical_fidelity(oc.alpha, oc.beta, INV_SQRT2, INV_SQRT2)
                 assert fid == pytest.approx(1.0, abs=1e-10)
 
@@ -323,8 +324,8 @@ class TestClosedForms:
         for q in (-1, 0, 2):
             z = phase_flip(space, q)
             op = tensor_product(z, ident) if side == "A" else tensor_product(ident, z)
-            np.testing.assert_array_equal(apply_phase_flip(psi, q, side).amplitudes,
-                                          apply(op, psi).amplitudes)
+            np.testing.assert_array_equal(apply_phase_flip(psi, q, side).dense().amplitudes,
+                                          apply(op, psi.dense()).amplitudes)
 
     def test_phase_flip_rejects_bad_side_and_charge(self):
         space = RotorSpace(2)
@@ -343,13 +344,13 @@ class TestSimulatedSuperposition:
         expect = np.zeros(d ** 3, dtype=complex)
         ir, ia, ib = space.index(-2), space.index(2), space.index(0)
         expect[(ir * d + ia) * d + ib] = 1.0
-        np.testing.assert_allclose(psi.amplitudes, expect)
+        np.testing.assert_allclose(psi.dense().amplitudes, expect)
 
     def test_total_charge_zero(self):
         space = RotorSpace(4)
         alphas = {0: INV_SQRT2, 1: INV_SQRT2}
         psi = prepare_simulated_superposition(alphas, space, "gaussian", 2)
-        out = apply(total_charge_operator(space, 3), psi)
+        out = apply(total_charge_operator(space, 3), psi.dense())
         assert out.norm() < 1e-12
 
     def test_recovery_rides_along_with_reference(self):
@@ -361,8 +362,8 @@ class TestSimulatedSuperposition:
         ident = identity(space.product_space())
         err = tensor_product(tensor_product(ident, ident),
                              phase_flip(space, 1) @ phase_flip(space, -2))
-        corrupted = apply(err, psi)
-        outcomes = list(enumerate_recovery(corrupted, (0, 1)))
+        corrupted = apply(err, psi.dense())
+        outcomes = list(enumerate_recovery(from_dense(corrupted), (0, 1)))
         assert outcomes
         for oc in outcomes:
             fid = logical_fidelity(oc.alpha, oc.beta, 0.6, 0.8)
@@ -371,3 +372,81 @@ class TestSimulatedSuperposition:
     def test_unnormalized_alphas_rejected(self):
         with pytest.raises(ValueError):
             prepare_simulated_superposition({0: 1.0, 1: 1.0}, RotorSpace(3))
+
+
+class TestChargeState:
+    @settings(max_examples=60, deadline=None)
+    @given(q_max_a=st.integers(1, 8), q_max_b=st.integers(1, 8), data=st.data(),
+           profile=st.sampled_from(["uniform", "gaussian"]),
+           sigma=st.one_of(st.none(), st.floats(0.3, 5.0)))
+    def test_codeword_dense_bitwise_equals_dense_build(self, q_max_a, q_max_b, data,
+                                                        profile, sigma):
+        window = data.draw(st.integers(0, min(q_max_a, q_max_b)), label="window")
+        q = data.draw(st.integers(window - q_max_a, q_max_a - window), label="q")
+        space_a, space_b = RotorSpace(q_max_a), RotorSpace(q_max_b)
+        psi, rec = build_codeword(space_a, space_b, q, profile, window, sigma)
+        want, want_rec = helpers.build_codeword(space_a, space_b, q, profile, window,
+                                                sigma)
+        assert psi.dense().space == want.space and rec == want_rec
+        assert psi.dense().amplitudes.tobytes() == want.amplitudes.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(q_max=st.integers(1, 5), data=st.data(), seed=st.integers(0, 2 ** 32 - 1),
+           profile=st.sampled_from(["uniform", "gaussian"]), complex_alphas=st.booleans())
+    def test_simulated_superposition_dense_bitwise(self, q_max, data, seed, profile,
+                                                   complex_alphas):
+        window = data.draw(st.integers(0, q_max), label="window")
+        charges = data.draw(st.lists(st.integers(window - q_max, q_max - window),
+                                     min_size=1, max_size=4, unique=True), label="charges")
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=len(charges)) + 1j * rng.normal(size=len(charges)) * complex_alphas
+        alphas = dict(zip(charges, (a / np.linalg.norm(a)).tolist()))
+        space = RotorSpace(q_max)
+        psi = prepare_simulated_superposition(alphas, space, profile, window)
+        want = helpers.prepare_simulated_superposition(alphas, space, profile, window)
+        assert psi.dense().space == want.space
+        assert psi.dense().amplitudes.tobytes() == want.amplitudes.tobytes()
+
+    def test_combine_adds_shared_rows(self):
+        space = RotorSpace(4)
+        w0, _ = build_codeword(space, space, 0, "gaussian", 2)
+        w1, _ = build_codeword(space, space, 1, "uniform", 3)
+        shared = build_codeword(space, space, 0, "uniform", 1)[0]
+        psi = w0.combine(0.6, w1, -0.8j).combine(1.0, shared, 0.25)
+        d0, d1, ds = w0.dense(), w1.dense(), shared.dense()
+        want = 1.0 * (0.6 * d0.amplitudes + -0.8j * d1.amplitudes) + 0.25 * ds.amplitudes
+        assert len(psi.amplitudes) == 5 + 7  # the window-1 rows all lie in w0's
+        np.testing.assert_array_equal(psi.dense().amplitudes, want)
+        with pytest.raises(ValueError):
+            w0.combine(1.0, build_codeword(space, RotorSpace(3), 0, "uniform", 1)[0], 1.0)
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_phase_flip_matches_dense_slice_negation(self, side):
+        space = RotorSpace(5)
+        psi = superpose(space, (-1, 2), "gaussian", 3)
+        for q in (-4, -1, 0, 3, 5):
+            np.testing.assert_array_equal(
+                apply_phase_flip(psi, q, side).dense().amplitudes,
+                helpers.apply_phase_flip(psi.dense(), q, side).amplitudes)
+
+    def test_recovery_with_reference_matches_dense(self):
+        # spectator register R: the dense oracle sums each outcome's norm
+        # pairwise over R, so agreement is to rounding, not bitwise
+        space = RotorSpace(4)
+        psi = prepare_simulated_superposition({0: 0.6, 1: 0.8j}, space, "gaussian", 2)
+        for q in (1, -2):
+            psi = apply_phase_flip(psi, q, "B")
+        psi = apply_phase_flip(psi, 0, "A")
+        got = list(enumerate_recovery(psi, (0, 1)))
+        want = list(helpers.enumerate_recovery(psi.dense(), (0, 1)))
+        assert [o.outcome for o in got] == [o.outcome for o in want]
+        for o, w in zip(got, want):
+            assert o.probability == w.probability
+            assert abs(o.alpha - w.alpha) < 1e-15 and abs(o.beta - w.beta) < 1e-15
+
+    def test_zero_state_rejected(self):
+        space = RotorSpace(2)
+        empty = ChargeState(np.zeros((0, 2), dtype=np.int64), np.zeros(0, complex),
+                            (space, space), ("A", "B"))
+        with pytest.raises(ValueError):
+            list(enumerate_recovery(empty, (0, 1)))
