@@ -28,7 +28,7 @@ import math
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 from jsonschema import Draft202012Validator
@@ -66,7 +66,7 @@ def _write(path: Path, data: bytes) -> tuple[str, str]:
     return path.name, hashlib.sha256(data).hexdigest()
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> tuple[str, str]:
+def _write_csv(path: Path, header: list[str], rows: Iterable) -> tuple[str, str]:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
@@ -156,7 +156,7 @@ def _plan_rotor(params: dict):
     from . import rotor
     space = rotor.RotorSpace(q_max)
     q1, q2 = params["logical_charges"]
-    w1, w2 = (rotor.build_codeword(space, space, q, params["profile"], w)[0]
+    w1, w2 = (rotor.build_codeword(space, space, q, params["profile"], w)
               for q in (q1, q2))
     psi = w1.combine(_ROTOR_AMP, w2, _ROTOR_AMP)
     for q in params["error_charges"]:
@@ -166,9 +166,9 @@ def _plan_rotor(params: dict):
 
 def _run_rotor(planned, outdir: Path, seed: Optional[int]) -> list[tuple[str, str]]:
     from . import rotor
-    rows = [[oc.outcome, oc.probability,
-             rotor.logical_fidelity(oc.alpha, oc.beta, _ROTOR_AMP, _ROTOR_AMP)]
-            for oc in rotor.enumerate_recovery(*planned)]
+    outcomes, probs, alphas, betas = rotor.enumerate_recovery(*planned)
+    fids = rotor.logical_fidelity(alphas, betas, _ROTOR_AMP, _ROTOR_AMP)
+    rows = zip(outcomes.tolist(), probs.tolist(), fids.tolist())
     return [_write_csv(outdir / "rotor_recovery.csv",
                        ["outcome_q_tilde", "probability", "recovered_fidelity"], rows)]
 
@@ -303,7 +303,6 @@ EXPERIMENTS = {
         "temperatures": {"type": "array", "items": _POSITIVE},
         "energies": {"type": "array", "items": _POSITIVE},
         "m_pi": _POSITIVE, "lambda_qcd": _POSITIVE, "m_w": _POSITIVE,
-        "epsilon": _POSITIVE,
     }), lambda params: params, _run_qcd_rates),
     "qcd-code": Experiment(_object_schema({
         "n": {"type": "integer", "minimum": 1},

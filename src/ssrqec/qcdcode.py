@@ -31,17 +31,9 @@ class PhysicalConstants:
     lambda_qcd: float = 330.0
     m_pi: float = 140.0
     m_w: float = 80400.0
-    b_scale: float = 3000.0
-    m_u: float = 3.0
-    m_d: float = 3.0
-    f_pi: float = 100.0
-    lambda1: float = 0.2
-    lambda2: float = 0.1
-    epsilon: float = 3.0
 
     def __post_init__(self):
-        for name in ("lambda_qcd", "m_pi", "m_w", "b_scale", "m_u", "m_d",
-                     "f_pi", "epsilon"):
+        for name in ("lambda_qcd", "m_pi", "m_w"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 

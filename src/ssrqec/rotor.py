@@ -5,7 +5,9 @@ Two-mode codewords spread a logical charge q over a window of relative
 charges q_tilde on registers A and B; phase flips confined to B are
 corrected exactly by measuring B's charge and relabeling A.  A codeword
 has 2W + 1 nonzero amplitudes and phase flips are diagonal in charge, so
-states are ``ChargeState`` lists of those amplitudes and their charges.  The
+states are ``ChargeState`` lists of those amplitudes and their charges, and
+the recovery is one sorted pass over them that returns every outcome's
+probability and logical pair as arrays.  The
 ``m_inv`` construction simulates SSR-violating operators with a discrete
 reference register of phase states.
 """
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -47,20 +49,6 @@ class RotorSpace:
 
 
 @dataclass(frozen=True)
-class TwoModeCodeword:
-    """Coefficients c_{q, q_tilde} of a logical-charge-q two-mode codeword."""
-
-    logical_charge: int
-    window: int
-    coeffs: tuple[complex, ...]  # indexed by q_tilde = -W..W
-
-    def coeff(self, q_tilde: int) -> complex:
-        if abs(q_tilde) > self.window:
-            return 0.0
-        return self.coeffs[q_tilde + self.window]
-
-
-@dataclass(frozen=True)
 class GroupDiscretization:
     """n_g equally spaced phase points theta_m = 2 pi m / n_g."""
 
@@ -69,9 +57,6 @@ class GroupDiscretization:
     def __post_init__(self):
         if self.n_g < 1:
             raise ValueError("n_g must be positive")
-
-    def thetas(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.n_g) / self.n_g
 
 
 class ChargeState:
@@ -123,8 +108,7 @@ def _profile_coeffs(profile: str, window: int, sigma: Optional[float]) -> np.nda
 
 def build_codeword(space_a: RotorSpace, space_b: RotorSpace, q: int,
                    profile: str = "gaussian", window: int = 1,
-                   sigma: Optional[float] = None
-                   ) -> tuple[ChargeState, TwoModeCodeword]:
+                   sigma: Optional[float] = None) -> ChargeState:
     """Sum_{q~} c_{q,q~} |q - q~>_A |q~>_B, normalized.
 
     The window must fit the truncation: |q| + W <= q_max on A and
@@ -135,19 +119,8 @@ def build_codeword(space_a: RotorSpace, space_b: RotorSpace, q: int,
             f"window {window} with logical charge {q} overflows the truncation")
     coeffs = _profile_coeffs(profile, window, sigma)
     q_tilde = np.arange(-window, window + 1)
-    state = ChargeState(np.stack((q - q_tilde, q_tilde), axis=1), coeffs,
-                        (space_a, space_b), ("A", "B"))
-    return state, TwoModeCodeword(q, window, tuple(coeffs.tolist()))
-
-
-@dataclass(frozen=True)
-class RecoveryOutcome:
-    outcome: int                 # measured B charge q_tilde
-    probability: float
-    alpha: complex               # recovered logical amplitudes, normalized
-    beta: complex
-    note: str = ("relabeling convention: outcome-conditioned reinterpretation "
-                 "|q_i - q_tilde>_A carries logical i; no active rotation applied")
+    return ChargeState(np.stack((q - q_tilde, q_tilde), axis=1), coeffs,
+                       (space_a, space_b), ("A", "B"))
 
 
 def apply_phase_flip(psi: ChargeState, q: int, side: str) -> ChargeState:
@@ -160,17 +133,27 @@ def apply_phase_flip(psi: ChargeState, q: int, side: str) -> ChargeState:
     return ChargeState(psi.charges, amps, psi.spaces, psi.labels)
 
 
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """True where the sorted ``keys`` start a run of equal values."""
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = keys[1:] != keys[:-1]
+    return starts
+
+
 def enumerate_recovery(psi: ChargeState, logical_charges: tuple[int, int]
-                       ) -> Iterator[RecoveryOutcome]:
-    """All B-measurement outcomes with their Born probabilities.
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every B-measurement outcome: ``(outcomes, probabilities, alphas, betas)``.
 
     ``psi`` lives on A tensor B, after any spectators (possibly an
     error-corrupted superposition of two codewords built with identical
     coefficient profiles).  For each outcome q_tilde the surviving A-register
     branch is projected onto |q_1 - q_tilde>_A and |q_2 - q_tilde>_A to
-    extract the logical pair.  Sorted by B charge, then by the registers in
-    order, each outcome is a slice, and ``bincount`` sums Born weights in
-    the dense column order: the probabilities are the dense ones bitwise.
+    extract the logical pair (alpha, beta).  One sort, by B charge and then
+    by the registers in order, groups the entries by outcome; ``bincount``
+    sums the Born weights in the dense column order, so the probabilities
+    are the dense ones bitwise.  The arrays run in ascending outcome order
+    and skip outcomes that are improbable, incompatible with either logical
+    charge, or carry a vanishing logical branch.
     """
     q1, q2 = logical_charges
     if q1 == q2:
@@ -178,53 +161,70 @@ def enumerate_recovery(psi: ChargeState, logical_charges: tuple[int, int]
     space_a, space_b = psi.spaces[-2:]
     order = np.lexsort(np.roll(psi.charges, 1, axis=1).T[::-1])  # last key first
     charges, amps = psi.charges[order], psi.amplitudes[order]
-    weights = np.abs(amps) ** 2
-    probs = np.bincount(charges[:, -1] + space_b.q_max, weights, space_b.dim)
+    a, b = charges[:, -2], charges[:, -1]
+    mags = np.abs(amps)
+    weights = mags ** 2
+    probs = np.bincount(b + space_b.q_max, weights, space_b.dim)
     total = probs.sum()
     if total <= 0:
         raise ValueError("zero-norm state")
     probs /= total
-    bounds = (np.flatnonzero(np.diff(charges[:, -1])) + 1).tolist()
-    for lo, hi in zip([0, *bounds], [*bounds, len(amps)]):
-        q_tilde = int(charges[lo, -1])
-        p = float(probs[q_tilde + space_b.q_max])
-        if p < PROB_FLOOR or max(abs(q1 - q_tilde), abs(q2 - q_tilde)) > space_a.q_max:
-            continue  # improbable, or incompatible with both logical charges
-        in1, in2 = (charges[lo:hi, -2] == q - q_tilde for q in (q1, q2))
-        nrm = math.sqrt(float(weights[lo:hi][in1].sum() + weights[lo:hi][in2].sum()))
-        if nrm < PROB_FLOOR:
-            continue
+    starts = _run_starts(b)
+    outcomes = b[starts]
+    group = np.cumsum(starts) - 1  # outcome index of each entry
+    n = len(outcomes)
+    norm2, raw = np.zeros(n), []
+    for q in (q1, q2):  # the two logical branches
+        sel = np.flatnonzero(a == q - b)
+        norm2 += np.bincount(group[sel], weights[sel], n)
         # phase-bearing scalars: each logical branch couples to a single
-        # spectator component, so the dominant entry carries the amplitude
-        a_raw, b_raw = (v[np.argmax(np.abs(v))] if v.size else np.complex128(0)
-                        for v in (amps[lo:hi][in1], amps[lo:hi][in2]))
-        yield RecoveryOutcome(q_tilde, p, a_raw / nrm, b_raw / nrm)
+        # spectator component, so the dominant entry (the first of equal
+        # moduli) carries the amplitude
+        sel = sel[np.lexsort((-mags[sel], group[sel]))]
+        top = sel[_run_starts(group[sel])]
+        amp = np.zeros(n, dtype=np.complex128)
+        amp[group[top]] = amps[top]
+        raw.append(amp)
+    probs = probs[outcomes + space_b.q_max]
+    nrm = np.sqrt(norm2)
+    keep = ((probs >= PROB_FLOOR) & (nrm >= PROB_FLOOR)
+            & (np.maximum(abs(q1 - outcomes), abs(q2 - outcomes)) <= space_a.q_max))
+    return (outcomes[keep], probs[keep], raw[0][keep] / nrm[keep],
+            raw[1][keep] / nrm[keep])
 
 
 def recover_by_measuring_B(psi: ChargeState, logical_charges: tuple[int, int],
                            rng: Optional[np.random.Generator] = None,
-                           outcome: Optional[int] = None) -> RecoveryOutcome:
+                           outcome: Optional[int] = None
+                           ) -> tuple[int, float, complex, complex]:
     """Sample (or force) one B-charge measurement outcome and recover.
 
-    With ``outcome`` given, that branch is selected deterministically; an
-    outcome whose probability falls below 1e-15 is an error.
+    Returns ``(outcome, probability, alpha, beta)``.  With ``outcome`` given,
+    that branch is selected deterministically; an outcome whose probability
+    falls below 1e-15 is an error.
     """
-    outcomes = {o.outcome: o for o in enumerate_recovery(psi, logical_charges)}
+    outcomes, probs, alphas, betas = enumerate_recovery(psi, logical_charges)
     if outcome is not None:
-        if outcome not in outcomes:
+        hit = np.flatnonzero(outcomes == outcome)
+        if not len(hit):
             raise ValueError(
                 f"outcome {outcome} has probability < {PROB_FLOOR} or is invalid")
-        return outcomes[outcome]
-    keys = list(outcomes)  # ascending, as enumerate_recovery yields them
-    p = np.array([outcomes[k].probability for k in keys])
-    rng = np.random.default_rng() if rng is None else rng
-    return outcomes[keys[int(rng.choice(len(keys), p=p / p.sum()))]]
+        i = int(hit[0])
+    else:
+        rng = np.random.default_rng() if rng is None else rng
+        i = int(rng.choice(len(outcomes), p=probs / probs.sum()))
+    return int(outcomes[i]), float(probs[i]), complex(alphas[i]), complex(betas[i])
 
 
-def logical_fidelity(alpha: complex, beta: complex,
-                     alpha_ref: complex, beta_ref: complex) -> float:
-    """Overlap-squared of two logical qubit states, global phase ignored."""
-    return abs(np.conj(alpha_ref) * alpha + np.conj(beta_ref) * beta) ** 2
+def logical_fidelity(alpha, beta, alpha_ref: complex, beta_ref: complex):
+    """Overlap-squared of two logical qubit states, global phase ignored.
+
+    ``alpha`` and ``beta`` may be arrays.  The modulus is ``hypot`` and the
+    square is Python's ``float ** 2`` per element, as for scalars: numpy's
+    complex ``abs`` and array square round differently for some inputs.
+    """
+    z = np.conj(alpha_ref) * alpha + np.conj(beta_ref) * beta
+    return np.asarray(np.hypot(z.real, z.imag), dtype=object) ** 2
 
 
 def wrong_guess_error_probability(space_a: RotorSpace, space_b: RotorSpace,
@@ -236,18 +236,17 @@ def wrong_guess_error_probability(space_a: RotorSpace, space_b: RotorSpace,
                                   fidelity_tol: float = 1e-10) -> float:
     """Exact logical-error probability after one A-side phase flip.
 
-    Enumerates every B-measurement outcome of the corrupted state and sums
-    the probability of branches whose recovered logical state differs from
-    the input beyond a global phase.
+    Enumerates every B-measurement outcome of the corrupted state and sums,
+    in ascending outcome order, the probability of branches whose recovered
+    logical state differs from the input beyond a global phase.
     """
     q1, q2 = logical_charges
-    w1, w2 = (build_codeword(space_a, space_b, q, profile, window)[0] for q in (q1, q2))
+    w1, w2 = (build_codeword(space_a, space_b, q, profile, window) for q in (q1, q2))
     corrupted = apply_phase_flip(w1.combine(alpha, w2, beta), flip_charge, "A")
-    p_err = 0.0
-    for oc in enumerate_recovery(corrupted, logical_charges):
-        if logical_fidelity(oc.alpha, oc.beta, alpha, beta) < 1.0 - fidelity_tol:
-            p_err += oc.probability
-    return p_err
+    _, probs, alphas, betas = enumerate_recovery(corrupted, logical_charges)
+    wrong = logical_fidelity(alphas, betas, alpha, beta) < 1.0 - fidelity_tol
+    # cumsum adds in order, as ``p += p_i`` does (Python 3.12's ``sum`` compensates)
+    return float(np.cumsum(np.append(0.0, probs[wrong]))[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +296,7 @@ def prepare_simulated_superposition(alphas: Mapping[int, complex],
         raise ValueError("alpha amplitudes must be normalized")
     charges, amps = [], []
     for q, a_q in alphas.items():
-        word = build_codeword(space, space, q, profile, window, sigma)[0]
+        word = build_codeword(space, space, q, profile, window, sigma)
         charges.append(np.column_stack((np.full(len(word.charges), -q), word.charges)))
         amps.append(a_q * word.amplitudes)
     return ChargeState(np.concatenate(charges), np.concatenate(amps),

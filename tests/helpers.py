@@ -22,7 +22,7 @@ import numpy as np
 from ssrqec.hilbert import (DensityMatrix, Operator, ProductSpace, StateVector,
                             basis_state)
 from ssrqec.rotor import (PROB_FLOOR, ChargeState, GroupDiscretization,
-                          RotorSpace, TwoModeCodeword, _profile_coeffs)
+                          RotorSpace, _profile_coeffs)
 
 
 def trace_all(rho: DensityMatrix) -> complex:
@@ -96,8 +96,7 @@ def phase_flip(space: RotorSpace, q: int) -> Operator:
 
 def build_codeword(space_a: RotorSpace, space_b: RotorSpace, q: int,
                    profile: str = "gaussian", window: int = 1,
-                   sigma: Optional[float] = None
-                   ) -> tuple[StateVector, TwoModeCodeword]:
+                   sigma: Optional[float] = None) -> StateVector:
     """Sum_{q~} c_{q,q~} |q - q~>_A |q~>_B, normalized.
 
     The window must fit the truncation: |q| + W <= q_max on A and
@@ -114,8 +113,7 @@ def build_codeword(space_a: RotorSpace, space_b: RotorSpace, q: int,
         ia = space_a.index(q - q_tilde)
         ib = space_b.index(q_tilde)
         amps[ia * db + ib] = coeffs[k]
-    record = TwoModeCodeword(q, window, tuple(coeffs.tolist()))
-    return StateVector(joint, amps), record
+    return StateVector(joint, amps)
 
 
 @dataclass(frozen=True)

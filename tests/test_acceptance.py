@@ -48,8 +48,8 @@ def test_criterion_1_sector_respecting_errors_zero_off_diagonal():
     # truncated rotor: codewords in distinct total-charge sectors with
     # charge-conserving (diagonal) error operators
     space = RotorSpace(4)
-    w0, _ = build_codeword(space, space, 0, "uniform", 1)
-    w1, _ = build_codeword(space, space, 1, "uniform", 1)
+    w0 = build_codeword(space, space, 0, "uniform", 1)
+    w1 = build_codeword(space, space, 1, "uniform", 1)
     code = CodeSpace((w0.dense(), w1.dense()))
     cw = code.matrix()
     ident = identity(space.product_space())
@@ -95,8 +95,8 @@ def test_criterion_3_rotor_recovery_and_wrong_guess_bound():
     start = time.perf_counter()
     space = RotorSpace(6)
     for window in (1, 2, 4):
-        w1 = build_codeword(space, space, 0, "gaussian", window)[0].dense()
-        w2 = build_codeword(space, space, 1, "gaussian", window)[0].dense()
+        w1 = build_codeword(space, space, 0, "gaussian", window).dense()
+        w2 = build_codeword(space, space, 1, "gaussian", window).dense()
         psi = StateVector(w1.space,
                           (w1.amplitudes + w2.amplitudes) * INV_SQRT2)
         ident = identity(space.product_space())
@@ -108,11 +108,10 @@ def test_criterion_3_rotor_recovery_and_wrong_guess_bound():
             for q in flips:
                 z = z @ phase_flip(space, q)
             corrupted = apply(tensor_product(ident, z), psi)
-            outcomes = list(enumerate_recovery(from_dense(corrupted), (0, 1)))
-            assert outcomes
-            for oc in outcomes:
-                fid = logical_fidelity(oc.alpha, oc.beta, INV_SQRT2, INV_SQRT2)
-                assert abs(fid - 1.0) <= 1e-10
+            outcomes, _, alphas, betas = enumerate_recovery(from_dense(corrupted), (0, 1))
+            assert len(outcomes)
+            fids = logical_fidelity(alphas, betas, INV_SQRT2, INV_SQRT2)
+            assert all(abs(fid - 1.0) <= 1e-10 for fid in fids.tolist())
     for window in (1, 2, 4):
         p_err = wrong_guess_error_probability(space, space, (0, 1), 0,
                                               "uniform", window)

@@ -266,8 +266,8 @@ class TestRun:
         # reference: the dense Z_q (x) I / I (x) Z_q operators applied in turn
         space = rotor.RotorSpace(q_max)
         alpha = beta = 1.0 / np.sqrt(2.0)
-        w1, _ = helpers.build_codeword(space, space, 0, profile, w)
-        w2, _ = helpers.build_codeword(space, space, 1, profile, w)
+        w1 = helpers.build_codeword(space, space, 0, profile, w)
+        w2 = helpers.build_codeword(space, space, 1, profile, w)
         psi = StateVector(w1.space, alpha * w1.amplitudes + beta * w2.amplitudes)
         ident = identity(space.product_space())
         for q in flips:
@@ -490,7 +490,7 @@ class TestMainExitCodes:
         assert json.loads(out)["required"] == ["experiment", "params"]
         # digest recorded with print(json.dumps(schema, indent=2, sort_keys=True))
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
-            "d75f457db9d160136f2df1e1a6b3d9f2f03be29b083ea2eb0b90c9e877660f6b"
+            "e2e9c245afaeed11f0865cc7c41ef230085e8ab56d8d8501144b19bd8cca0ec0"
 
     def test_unreadable_config(self, tmp_path, capsys):
         assert cli.main(["run", str(tmp_path / "missing.json")]) == cli.EXIT_SCHEMA
@@ -887,8 +887,8 @@ def dense_rotor_rows(params: dict) -> list[list[str]]:
     space = rotor.RotorSpace(params["q_max"])
     charges = tuple(params["logical_charges"])
     amp = cli._ROTOR_AMP
-    w1, _ = helpers.build_codeword(space, space, charges[0], params["profile"], params["w"])
-    w2, _ = helpers.build_codeword(space, space, charges[1], params["profile"], params["w"])
+    w1 = helpers.build_codeword(space, space, charges[0], params["profile"], params["w"])
+    w2 = helpers.build_codeword(space, space, charges[1], params["profile"], params["w"])
     psi = StateVector(w1.space, amp * w1.amplitudes + amp * w2.amplitudes)
     for q in params["error_charges"]:
         psi = helpers.apply_phase_flip(psi, q, params["error_side"])
@@ -933,16 +933,18 @@ def traced_peak(config: dict, outdir: Path) -> int:
 
 
 class TestRotorGuard:
-    def test_large_q_max_runs_fast_within_prediction(self, tmp_path):
-        config = rotor_config(q_max=10 ** 6, w=3, error_side="A", error_charges=[0, 2])
+    @pytest.mark.parametrize("q_max, w", [(10 ** 6, 3), (3 * 10 ** 4, 3 * 10 ** 4 - 1)])
+    def test_large_q_max_runs_fast_within_prediction(self, tmp_path, q_max, w):
+        config = rotor_config(q_max=q_max, w=w, error_side="A", error_charges=[0, 2])
         start = time.perf_counter()
         cli.run(config, str(tmp_path))
         assert time.perf_counter() - start < 1.0
-        assert traced_peak(config, tmp_path) <= cli._rotor_bytes(10 ** 6, 3)
+        assert traced_peak(config, tmp_path) <= cli._rotor_bytes(q_max, w)
 
     @pytest.mark.parametrize("q_max, w, side, flips", [
         (4, 1, "B", [1]), (40, 39, "A", [0, 3, -7]), (1000, 999, "B", [5, 5, -999]),
-        (10 ** 5, 300, "A", list(range(-20, 21)))])
+        (10 ** 5, 300, "A", list(range(-20, 21))),
+        (3 * 10 ** 4, 3 * 10 ** 4 - 1, "B", [0, 2, -29999])])
     def test_peak_within_prediction(self, tmp_path, q_max, w, side, flips):
         config = rotor_config(q_max=q_max, w=w, error_side=side, error_charges=flips)
         cli.run(config, str(tmp_path))  # first call: imports and caches
