@@ -23,6 +23,7 @@ import argparse
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import sys
@@ -39,6 +40,9 @@ from .errors import GuardExceededError, PropagatorPoleError
 
 _ESCAPE = json.encoder.encode_basestring_ascii
 _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as json.dumps
+# the sets of item types that ``_column`` renders in bulk
+_INT, _FLOAT, _STR, _LIST, _DICT = (frozenset({kind})
+                                    for kind in (int, float, str, list, dict))
 
 EXIT_SCHEMA = 2
 EXIT_GUARD = 3
@@ -47,12 +51,6 @@ EXIT_INVARIANT = 4
 
 class ConfigError(ValueError):
     pass
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(float(x))  # shortest round-trip decimal of the double
-    return str(x)
 
 
 def _fmt_complex(z: complex) -> str:
@@ -67,47 +65,79 @@ def _write(path: Path, data: bytes) -> tuple[str, str]:
 
 
 def _write_csv(path: Path, header: list[str], rows: Iterable) -> tuple[str, str]:
+    """Rows of Python int, float, bool and str cells; ``csv`` writes ``str`` of
+    each, which for a float is its shortest round-trip decimal."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(x) for x in row])
+    writer.writerows(rows)
     return _write(path, buf.getvalue().encode("utf-8"))
 
 
 def _json_bytes(obj) -> bytes:
     """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte, for
-    str-keyed documents.  The stdlib encoder formats each number in Python
-    when indenting; here a flat list of finite floats or of ints is one join."""
-    _emit(obj, "\n", out := [])
-    return ("".join(out) + "\n").encode("ascii")
+    str-keyed documents.  The stdlib encoder formats each leaf in a Python
+    call when indenting; here the common shapes are rendered in bulk:
+    - a dict's ``int``, ``str`` and finite ``float`` values inline with their
+      keys;
+    - the items of a list together (``_column``): all ints or all finite
+      floats in one join, all strings in one map, non-empty lists (rows of a
+      number matrix, say) through the items of all rows at once, and dicts
+      that share their keys (records) one key at a time.
+    Everything else (bools, None, NaN and infinities, float subclasses, empty
+    or mixed items) is rendered one value at a time."""
+    return (_text(obj, "\n") + "\n").encode("ascii")
 
 
-def _emit(obj, nl: str, out: list[str]) -> None:
+def _text(obj, nl: str) -> str:
+    """``obj`` rendered at the indentation ``nl``."""
     inner = nl + "  "
+    if isinstance(obj, dict):
+        parts = []
+        for key in sorted(obj):
+            value = obj[key]
+            kind = type(value)
+            parts.append(inner + _ESCAPE(key) + ": " + (
+                int.__repr__(value) if kind is int else
+                _ESCAPE(value) if kind is str else
+                float.__repr__(value) if kind is float and math.isfinite(value) else
+                _text(value, inner)))
+        return "{" + ",".join(parts) + nl + "}" if parts else "{}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + inner + ("," + inner).join(_column(obj, inner)) + nl + "]" \
+            if obj else "[]"
     if isinstance(obj, str):
-        out.append(_ESCAPE(obj))
-    elif isinstance(obj, float):
-        out.append(_FLOAT_WORDS.get(text := float.__repr__(obj), text))
-    elif obj is None or obj is True or obj is False:
-        out.append("null" if obj is None else "true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, dict):
-        for i, key in enumerate(sorted(obj)):
-            out.append(("," if i else "{") + inner + _ESCAPE(key) + ": ")
-            _emit(obj[key], inner, out)
-        out.append(nl + "}" if obj else "{}")
-    elif not isinstance(obj, (list, tuple)):
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-    elif (kinds := set(map(type, obj))) == {int} or (
-            kinds == {float} and math.isfinite(sum(obj))):
-        out.append("[" + inner + ("," + inner).join(map(repr, obj)) + nl + "]")
-    else:
-        for i, item in enumerate(obj):
-            out.append(("," if i else "[") + inner)
-            _emit(item, inner, out)
-        out.append(nl + "]" if obj else "[]")
+        return _ESCAPE(obj)
+    if isinstance(obj, float):
+        return _FLOAT_WORDS.get(text := float.__repr__(obj), text)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _column(values, nl: str) -> list[str]:
+    """The texts of ``values``, each rendered at the indentation ``nl``."""
+    kinds = set(map(type, values))
+    if kinds == _INT or kinds == _FLOAT and math.isfinite(sum(values)):
+        return list(map(repr, values))
+    if kinds == _STR:
+        return list(map(_ESCAPE, values))
+    inner = nl + "  "
+    if kinds == _LIST and all(values):
+        items = _column(list(itertools.chain.from_iterable(values)), inner)
+        ends, sep = list(itertools.accumulate(map(len, values))), "," + inner
+        return [f"[{inner}{sep.join(items[start:end])}{nl}]"
+                for start, end in zip([0] + ends, ends)]
+    if kinds == _DICT and values[0] and all(
+            value.keys() == values[0].keys() for value in values):
+        keys = sorted(values[0])
+        form = "{" + ",".join(inner + _ESCAPE(key).replace("%", "%%") + ": %s"
+                              for key in keys) + nl + "}"
+        return [form % texts for texts in
+                zip(*(_column([value[key] for value in values], inner) for key in keys))]
+    return [_text(value, nl) for value in values]
 
 
 # ---------------------------------------------------------------------------

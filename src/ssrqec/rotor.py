@@ -193,29 +193,6 @@ def enumerate_recovery(psi: ChargeState, logical_charges: tuple[int, int]
             raw[1][keep] / nrm[keep])
 
 
-def recover_by_measuring_B(psi: ChargeState, logical_charges: tuple[int, int],
-                           rng: Optional[np.random.Generator] = None,
-                           outcome: Optional[int] = None
-                           ) -> tuple[int, float, complex, complex]:
-    """Sample (or force) one B-charge measurement outcome and recover.
-
-    Returns ``(outcome, probability, alpha, beta)``.  With ``outcome`` given,
-    that branch is selected deterministically; an outcome whose probability
-    falls below 1e-15 is an error.
-    """
-    outcomes, probs, alphas, betas = enumerate_recovery(psi, logical_charges)
-    if outcome is not None:
-        hit = np.flatnonzero(outcomes == outcome)
-        if not len(hit):
-            raise ValueError(
-                f"outcome {outcome} has probability < {PROB_FLOOR} or is invalid")
-        i = int(hit[0])
-    else:
-        rng = np.random.default_rng() if rng is None else rng
-        i = int(rng.choice(len(outcomes), p=probs / probs.sum()))
-    return int(outcomes[i]), float(probs[i]), complex(alphas[i]), complex(betas[i])
-
-
 def logical_fidelity(alpha, beta, alpha_ref: complex, beta_ref: complex):
     """Overlap-squared of two logical qubit states, global phase ignored.
 
@@ -302,10 +279,3 @@ def prepare_simulated_superposition(alphas: Mapping[int, complex],
     return ChargeState(np.concatenate(charges), np.concatenate(amps),
                        (space,) * 3, ("R", "A", "B"))
 
-
-def total_charge_operator(space: RotorSpace, n_registers: int) -> Operator:
-    """Sum of single-register charge operators on n copies of the rotor."""
-    qs = np.arange(-space.q_max, space.q_max + 1, dtype=float)
-    total = sum(np.ix_(*([qs] * n_registers)))  # q_1 + ... + q_n on the index grid
-    joint = ProductSpace((space.dim,) * n_registers, ("rotor",) * n_registers)
-    return Operator(joint, np.diag(total.reshape(-1)).astype(np.complex128))

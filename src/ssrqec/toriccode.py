@@ -10,10 +10,12 @@ share a syndrome; it is then e^{i pi phi / N} times a stabilizer times a
 product of Wilson loops, and acts on the sector basis |a, b> as a known
 monomial matrix of N-th roots of unity.  So the KL conditions come down to
 one rule: errors with the same syndrome must share their logical powers
-(Knill-Laflamme, quant-ph/9604034; Gottesman, quant-ph/9705052).  C is kept
-as one block per syndrome class, and the bytes the check holds, predicted
-from the error count, are checked against ``KL_MEMORY_BUDGET`` before
-anything is enumerated.
+(Knill-Laflamme, quant-ph/9604034; Gottesman, quant-ph/9705052).  The
+stabilizer and Wilson-loop probe rows come from index arithmetic over all
+vertices at once, each error's syndrome is one byte-string key, and C is
+kept as one block per syndrome class, sliced from one sorted order.  The
+bytes the check holds, predicted from the error count, are checked against
+``KL_MEMORY_BUDGET`` before anything is enumerated.
 
 The sector basis has a fixed phase convention.  |0, 0> is the uniform sum
 over the orbit of |0...0> under the X-stabilizers and the x-winding
@@ -260,26 +262,35 @@ def apply_pauli(lat: TorusLattice, p: QuditPauli, vec: np.ndarray) -> np.ndarray
 # Stabilizers and ground space
 
 
+def _stabilizer_rows(lat: TorusLattice) -> np.ndarray:
+    """xz rows mod N of the l^2 stars then the l^2 plaquettes, (2 l^2, 2 n_edges).
+
+    Row v = y l + x is the star (plaquette) at vertex (x, y); the edge
+    indices come from index arithmetic on all vertices at once.
+    """
+    l, n, m = lat.l, lat.n, lat.n_edges
+    v = np.arange(l * l)
+    y, x = np.divmod(v, l)
+
+    def edge(vertical: int, dx: int, dy: int) -> np.ndarray:
+        return vertical * l * l + (y + dy) % l * l + (x + dx) % l
+
+    rows = np.zeros((2, l * l, 2, m), dtype=np.int64)   # (kind, vertex, x|z, edge)
+    # stars: X out along +x and +y, X^-1 in from -x and -y
+    for vertical, dx, dy, power in ((0, 0, 0, 1), (1, 0, 0, 1), (0, -1, 0, -1),
+                                    (1, 0, -1, -1)):
+        rows[0, v, 0, edge(vertical, dx, dy)] = power % n
+    # plaquettes: Z on bottom (+x), right (+y), top (-x), left (-y)
+    for vertical, dx, dy, power in ((0, 0, 0, 1), (1, 1, 0, 1), (0, 0, 1, -1),
+                                    (1, 0, 0, -1)):
+        rows[1, v, 1, edge(vertical, dx, dy)] = power % n
+    return rows.reshape(2 * l * l, 2 * m)
+
+
 def build_stabilizers(lat: TorusLattice) -> list[QuditPauli]:
     """l^2 star operators followed by l^2 plaquette operators."""
-    stabs = []
-    for y in range(lat.l):
-        for x in range(lat.l):
-            xs = [0] * lat.n_edges
-            xs[lat.edge("h", x, y)] += 1       # outgoing +x
-            xs[lat.edge("v", x, y)] += 1       # outgoing +y
-            xs[lat.edge("h", x - 1, y)] -= 1   # incoming from -x
-            xs[lat.edge("v", x, y - 1)] -= 1   # incoming from -y
-            stabs.append(QuditPauli(tuple(xs), (0,) * lat.n_edges, lat.n))
-    for y in range(lat.l):
-        for x in range(lat.l):
-            zs = [0] * lat.n_edges
-            zs[lat.edge("h", x, y)] += 1       # bottom, +x
-            zs[lat.edge("v", x + 1, y)] += 1   # right, +y
-            zs[lat.edge("h", x, y + 1)] -= 1   # top, -x
-            zs[lat.edge("v", x, y)] -= 1       # left, -y
-            stabs.append(QuditPauli((0,) * lat.n_edges, tuple(zs), lat.n))
-    return stabs
+    rows = _stabilizer_rows(lat)
+    return list(PauliArray(rows, np.zeros(len(rows), dtype=np.int64), lat.n))
 
 
 @dataclass(frozen=True)
@@ -364,13 +375,17 @@ def _logical_probes(lat: TorusLattice) -> np.ndarray:
     """Rows whose commutation exponents with an undetected Pauli are its
     logical powers (gamma, delta, alpha, beta): its X part is a stabilizer
     times M_y^alpha M_x^beta and its Z part a stabilizer times
-    E_x^gamma E_y^delta, for the charge-1 loops M_y, M_x, E_x, E_y.
+    E_x^gamma E_y^delta, for the charge-1 loops M_y, M_x, E_x, E_y.  The
+    rows are ``wilson_loop``'s M_y, M_x, E_x^-1 and E_y^-1.
     """
-    probes = [wilson_loop(lat, "y", 1, "magnetic"),
-              wilson_loop(lat, "x", 1, "magnetic"),
-              wilson_loop(lat, "x", -1, "electric"),
-              wilson_loop(lat, "y", -1, "electric")]
-    return PauliArray.of(probes, lat.n).xz
+    l, n, m = lat.l, lat.n, lat.n_edges
+    k = np.arange(l)
+    rows = np.zeros((4, 2 * m), dtype=np.int64)
+    rows[0, k * l] = 1                  # X on h(0, y)
+    rows[1, l * l + k] = 1              # X on v(x, 0)
+    rows[2, m + k] = n - 1              # Z^-1 on h(x, 0)
+    rows[3, m + l * l + k * l] = n - 1  # Z^-1 on v(0, y)
+    return rows
 
 
 def sector_labels(lat: TorusLattice) -> tuple[tuple[int, int], ...]:
@@ -526,6 +541,18 @@ class SyndromeKLReport:
                 "violations": klcore.violations_to_json(self.violations)}
 
 
+def _class_ids(syndromes: np.ndarray, n: int) -> np.ndarray:
+    """Class id of each syndrome row (entries in [0, N)): the rank of the row
+    among the distinct rows in lexicographic order, as ``np.unique(axis=0)``
+    numbers them.  Each row is read as one void key of big-endian unsigned
+    digits, whose byte order is that lexicographic order, so one 1-D
+    ``np.unique`` does the grouping."""
+    digits = np.ascontiguousarray(syndromes,
+                                  dtype=np.min_scalar_type(n - 1).newbyteorder(">"))
+    key = np.dtype((np.void, digits.itemsize * digits.shape[1]))
+    return np.unique(digits.view(key).reshape(-1), return_inverse=True)[1]
+
+
 def kl_check_errors(lat: TorusLattice, errors: PauliArray,
                     tol: float = 1e-9) -> SyndromeKLReport:
     """Exact KL check of a Pauli error set on the sector basis, by syndrome class.
@@ -539,12 +566,15 @@ def kl_check_errors(lat: TorusLattice, errors: PauliArray,
     only its syndrome violates KL with N^2 deviation entries of modulus 1.
     The first MAX_RECORDED_VIOLATIONS of those, in (a, b, i, j) order, are
     recorded.
+
+    The syndromes are products with ``_stabilizer_rows``, built by index
+    arithmetic; each error's syndrome row is one byte-string key
+    (``_class_ids``), so one 1-D ``np.unique`` numbers the classes in
+    lexicographic syndrome order.  One stable sort groups the errors by class,
+    and each class's block is a slice of it and of C.
     """
     n, k = lat.n, lat.n * lat.n
-    stabs = PauliArray.of(build_stabilizers(lat), n).xz
-    _, cls = np.unique(commutation_exponents(errors.xz, stabs, n), axis=0,
-                       return_inverse=True)
-    cls = cls.reshape(-1)
+    cls = _class_ids(commutation_exponents(errors.xz, _stabilizer_rows(lat), n), n)
     logical = commutation_exponents(errors.xz, _logical_probes(lat), n)
     code = logical @ n ** np.arange(4)          # the logical powers as one int
     members = np.argsort(cls, kind="stable")    # grouped by class, ascending
@@ -560,8 +590,8 @@ def kl_check_errors(lat: TorusLattice, errors: PauliArray,
         i, j = np.divmod(o - offset[cl], sizes[cl])
         a, b = members[start[cl] + i], members[start[cl] + j]
         c[o] = np.where(code[a] == code[b], roots[pair_phases(errors, a, b)], 0)
-    c_blocks = tuple((e, block.reshape(e.size, e.size)) for e, block in
-                     zip(np.split(members, start[1:]), np.split(c, offset[1:])))
+    c_blocks = tuple((members[s:s + e], c[o:o + e * e].reshape(e, e)) for s, e, o
+                     in zip(start.tolist(), sizes.tolist(), offset.tolist()))
 
     grouped = code[members]
     mixed = np.minimum.reduceat(grouped, start) != np.maximum.reduceat(grouped, start)
@@ -626,12 +656,14 @@ def kl_check_toric(lat: TorusLattice, max_weight: int, tol: float = 1e-9,
 def logical_mask(lat: TorusLattice, xz: np.ndarray) -> np.ndarray:
     """True for each xz row that commutes with every stabilizer and has a
     nonzero logical power, i.e. is a logical operator; works for any N."""
-    n = lat.n
-    stabs = PauliArray.of(build_stabilizers(lat), n).xz
+    return _logical_mask(xz, _stabilizer_rows(lat), _logical_probes(lat), lat.n)
+
+
+def _logical_mask(xz: np.ndarray, stabs: np.ndarray, probes: np.ndarray,
+                  n: int) -> np.ndarray:
     undetected = ~commutation_exponents(xz, stabs, n).any(axis=1)
     mask = np.zeros(len(xz), dtype=bool)
-    mask[undetected] = commutation_exponents(
-        xz[undetected], _logical_probes(lat), n).any(axis=1)
+    mask[undetected] = commutation_exponents(xz[undetected], probes, n).any(axis=1)
     return mask
 
 
@@ -652,6 +684,7 @@ def ssr_exact_zero_check(lat: TorusLattice, max_weight: Optional[int] = None
     powers = np.arange(1, lat.n)
     zeros = np.zeros_like(powers)
     x_only, z_only = np.column_stack([powers, zeros]), np.column_stack([zeros, powers])
-    return not any(logical_mask(lat, xz).any()
+    stabs, probes = _stabilizer_rows(lat), _logical_probes(lat)
+    return not any(_logical_mask(xz, stabs, probes, lat.n).any()
                    for weight in range(1, w + 1) for singles in (x_only, z_only)
                    for xz in _weight_chunks(lat, weight, max_rows, singles))

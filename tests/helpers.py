@@ -1,9 +1,11 @@
 """Small operators, states and closed forms that only the tests use.
 
 Nothing in ``ssrqec`` calls these, so they live beside the tests that
-exercise them: the rotor charge states and charge operator, the truncated
-shift ``U+`` and the phase states of the invariant simulation; the full
-trace of a density matrix; the QCD code's effective distance and its
+exercise them: the rotor charge states, the charge operator of one
+register and the total charge of n, one sampled or forced B measurement of
+a charge-list state, the truncated shift ``U+`` and the phase states of the
+invariant simulation; the full trace of a density matrix; the CSV cell
+format of the runner's outputs; the QCD code's effective distance and its
 electromagnetic phase error.  The dense rotor protocol (single-register ``phase_flip``, codewords,
 simulated superpositions, phase flips and B-measurement recovery on dense
 joint vectors) is the oracle for the charge-list states of ``ssrqec.rotor``.
@@ -21,6 +23,7 @@ import numpy as np
 
 from ssrqec.hilbert import (DensityMatrix, Operator, ProductSpace, StateVector,
                             basis_state)
+from ssrqec import rotor
 from ssrqec.rotor import (PROB_FLOOR, ChargeState, GroupDiscretization,
                           RotorSpace, _profile_coeffs)
 
@@ -47,12 +50,48 @@ def shift_up(space: RotorSpace) -> Operator:
     return Operator(space.product_space(), m)
 
 
+def total_charge_operator(space: RotorSpace, n_registers: int) -> Operator:
+    """Sum of single-register charge operators on n copies of the rotor."""
+    qs = np.arange(-space.q_max, space.q_max + 1, dtype=float)
+    total = sum(np.ix_(*([qs] * n_registers)))  # q_1 + ... + q_n on the index grid
+    joint = ProductSpace((space.dim,) * n_registers, ("rotor",) * n_registers)
+    return Operator(joint, np.diag(total.reshape(-1)).astype(np.complex128))
+
+
+def recover_by_measuring_B(psi: ChargeState, logical_charges: tuple[int, int],
+                           rng: Optional[np.random.Generator] = None,
+                           outcome: Optional[int] = None
+                           ) -> tuple[int, float, complex, complex]:
+    """Sample (or force) one B-charge measurement outcome and recover.
+
+    Returns ``(outcome, probability, alpha, beta)``.  With ``outcome`` given,
+    that branch is selected deterministically; an outcome whose probability
+    falls below 1e-15 is an error.
+    """
+    outcomes, probs, alphas, betas = rotor.enumerate_recovery(psi, logical_charges)
+    if outcome is not None:
+        hit = np.flatnonzero(outcomes == outcome)
+        if not len(hit):
+            raise ValueError(
+                f"outcome {outcome} has probability < {PROB_FLOOR} or is invalid")
+        i = int(hit[0])
+    else:
+        rng = np.random.default_rng() if rng is None else rng
+        i = int(rng.choice(len(outcomes), p=probs / probs.sum()))
+    return int(outcomes[i]), float(probs[i]), complex(alphas[i]), complex(betas[i])
+
+
 def phase_state(space: RotorSpace, disc: GroupDiscretization, m: int) -> StateVector:
     """|theta_m> = (1/sqrt(n_g)) sum_q e^{-i q theta_m} |q> on the truncation."""
     theta = 2.0 * np.pi * m / disc.n_g
     qs = np.arange(-space.q_max, space.q_max + 1)
     amps = np.exp(-1j * qs * theta) / np.sqrt(disc.n_g)
     return StateVector(space.product_space(), amps)
+
+
+def csv_cell(x) -> str:
+    """A CSV cell: the shortest round-trip decimal of a float, else ``str``."""
+    return repr(float(x)) if isinstance(x, float) else str(x)
 
 
 def effective_distance(lambda_qcd: float, epsilon: float) -> float:

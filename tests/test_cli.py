@@ -274,8 +274,8 @@ class TestRun:
             z = helpers.phase_flip(space, q)
             psi = apply(tensor_product(z, ident) if side == "A"
                         else tensor_product(ident, z), psi)
-        expect = [[cli._fmt(oc.outcome), cli._fmt(oc.probability),
-                   cli._fmt(rotor.logical_fidelity(oc.alpha, oc.beta, alpha, beta))]
+        expect = [[helpers.csv_cell(oc.outcome), helpers.csv_cell(oc.probability),
+                   helpers.csv_cell(rotor.logical_fidelity(oc.alpha, oc.beta, alpha, beta))]
                   for oc in helpers.enumerate_recovery(psi, (0, 1))]
         cli.run(rotor_config(q_max=q_max, w=w, profile=profile, error_side=side,
                              error_charges=flips), str(tmp_path))
@@ -696,11 +696,38 @@ _flat_lists = st.one_of(
     st.lists(st.floats(), min_size=1), st.lists(st.sampled_from(_EDGE_FLOATS)),
     st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=1),
     st.lists(st.one_of(st.integers(), st.booleans(), st.floats())))
+# lists of non-empty rows that are all ints or all finite floats take the
+# writer's row-joined path; empty, ragged, mixed-kind and non-finite rows
+# and finite rows whose sum overflows do not
+_rows = st.one_of(
+    st.lists(st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=1, max_size=4),
+             min_size=1, max_size=4),
+    st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                      min_size=1, max_size=4), min_size=1, max_size=4),
+    st.lists(st.lists(st.sampled_from([1e308, -1e308, 1.5]), min_size=1, max_size=3),
+             min_size=1, max_size=3),
+    st.lists(st.lists(st.one_of(st.integers(), st.booleans(), st.floats(),
+                                st.sampled_from(_EDGE_FLOATS),
+                                st.floats().map(np.float64)), max_size=3),
+             max_size=4))
+# dicts take the writer's inline path for int, str and finite float values
+_keys = st.one_of(st.text(st.characters(codec=None)), st.sampled_from(["%s", "%", "a%%"]))
+_scalar_dicts = st.dictionaries(_keys, _json_scalars, max_size=6)
+
+
+@st.composite
+def _records(draw, values):
+    """Lists of dicts that share their keys, which the writer renders a key at a time."""
+    keys = draw(st.lists(_keys, unique=True, max_size=3))
+    return draw(st.lists(st.fixed_dictionaries({key: values for key in keys}),
+                         max_size=4))
+
+
 _json_trees = st.recursive(
-    st.one_of(_json_scalars, _flat_lists),
+    st.one_of(_json_scalars, _flat_lists, _rows, _scalar_dicts, _records(_json_scalars)),
     lambda children: st.one_of(
         st.lists(children, max_size=4), st.tuples(children, children),
-        st.dictionaries(st.text(st.characters(codec=None)), children, max_size=4)),
+        st.dictionaries(_keys, children, max_size=4), _records(children)),
     max_leaves=20)
 
 
@@ -726,7 +753,20 @@ class TestJsonWriter:
         [1, True], [1.0, True], [1, 1.0], [True, False], [None], [2 ** 64 + 1, -2 ** 70],
         _EDGE_FLOATS, [[], {}, [[]], {"a": {}}], (1.5, 2.5), [np.float64(0.1)] * 3,
         {"é\x00\n\"\\": ["\ud800", "\x1f"]}, {"b": 1, "a": [2.0], "A": None},
-        "plain", 3, -0.0, math.nan, None, [], {}])
+        "plain", 3, -0.0, math.nan, None, [], {},
+        [[1, 2], [3, 4]], [[1.5, -0.0], [5e-324, 1e16]], [[1, 2], []], [[]],
+        [[1], [2, 3]], [[1], [1.0]], [[1.0, math.nan]], [[math.inf], [1.0]],
+        [[-math.inf, 0.5]], [[True]], [[1, True]], [[np.float64(0.5)]],
+        [[1e308, 1e308]], [[1e308], [1e308]], [[1e308], [-1e308]], ([1, 2], [3]),
+        [(1, 2)], [[[1]]], [[1, [2]]], [[1.0], {}], [[1.0], None],
+        {"i": 1, "f": 0.5, "s": "x\n", "b": True, "n": None, "nan": math.nan,
+         "inf": -math.inf, "z": -0.0, "np": np.float64(0.25), "big": 2 ** 70,
+         "e": [], "d": {}},
+        [{"a": 1, "b": [1.0]}, {"a": 2, "b": [2.0]}], [{"a": 1}, {"b": 1}],
+        [{"a": 1}, {}], [{}, {}], [{"%s": 1, "a%": 2.5}, {"%s": 3, "a%": 0.5}],
+        [{"a": math.nan}, {"a": 1.0}], [{"a": "x"}, {"a": None}],
+        [[{"a": 1}], [{"a": 2}, {"a": 3}]], [[[1.0], [2.0]], [[3.0]]],
+        [[1, 2], [3.0]], [["a", "b"], ["c"]]])
     def test_edge_cases_match_stdlib(self, obj):
         assert cli._json_bytes(obj) == stdlib_json(obj)
 
@@ -756,6 +796,23 @@ class TestJsonWriter:
         assert hashlib.sha256(data).hexdigest() == digest
         assert report["outputs"]["kl_report.json"] == digest
         assert (tmp_path / "run_report.json").read_bytes() == stdlib_json(report)
+
+    @pytest.mark.parametrize("n,l,w,file_name,digest", [
+        (2, 4, 2, "kl_report.json",
+         "19fc9e67972f9b21935c1926cbc2f9b80b8a27a50714e24a6008bdd7f0adc42f"),
+        (2, 3, 1, "sectors.csv",
+         "0d1bf544a1cead84eab733bd0e9275e085e0fa0a2ad693a05f56421292979dc4"),
+        (2, 2, 2, "sectors.csv",
+         "0d1bf544a1cead84eab733bd0e9275e085e0fa0a2ad693a05f56421292979dc4"),
+        (3, 2, 1, "sectors.csv",
+         "8274cac7afbca41449643acc7c85fdaee28c0ca2fa7b364be1059ef578fa8e7d")])
+    def test_toric_output_bytes_pinned(self, tmp_path, n, l, w, file_name, digest):
+        # digests recorded before the toric rows, syndrome keys and C blocks
+        # were rewritten in array form
+        config = {"experiment": "toric", "params": {"n": n, "l": l, "max_weight": w}}
+        report = cli.run(config, str(tmp_path))
+        assert hashlib.sha256((tmp_path / file_name).read_bytes()).hexdigest() == digest
+        assert report["outputs"][file_name] == digest
 
 
 # --- differential fuzz: validate and run agree --------------------------------
@@ -892,8 +949,8 @@ def dense_rotor_rows(params: dict) -> list[list[str]]:
     psi = StateVector(w1.space, amp * w1.amplitudes + amp * w2.amplitudes)
     for q in params["error_charges"]:
         psi = helpers.apply_phase_flip(psi, q, params["error_side"])
-    return [[cli._fmt(oc.outcome), cli._fmt(oc.probability),
-             cli._fmt(rotor.logical_fidelity(oc.alpha, oc.beta, amp, amp))]
+    return [[helpers.csv_cell(oc.outcome), helpers.csv_cell(oc.probability),
+             helpers.csv_cell(rotor.logical_fidelity(oc.alpha, oc.beta, amp, amp))]
             for oc in helpers.enumerate_recovery(psi, charges)]
 
 

@@ -13,12 +13,12 @@ from ssrqec.rotor import (ChargeState, GroupDiscretization, RotorSpace,
                           apply_phase_flip, build_codeword,
                           enumerate_recovery, logical_fidelity, m_inv,
                           prepare_simulated_superposition,
-                          recover_by_measuring_B, total_charge_operator,
                           wrong_guess_error_probability)
 
 import helpers
 from helpers import (charge_operator, charge_state, from_dense, phase_flip,
-                     phase_state, shift_up)
+                     phase_state, recover_by_measuring_B, shift_up,
+                     total_charge_operator)
 
 INV_SQRT2 = 1 / np.sqrt(2)
 

@@ -13,7 +13,8 @@ from ssrqec.klcore import (MAX_RECORDED_VIOLATIONS, CodeSpace, ErrorSet,
                            ssr_sector_check)
 from ssrqec.hilbert import Operator, StateVector
 from ssrqec.toriccode import (GuardExceededError, PauliArray, QuditPauli,
-                              TorusLattice, _weight_chunks, apply_pauli,
+                              TorusLattice, _class_ids, _logical_probes,
+                              _stabilizer_rows, _weight_chunks, apply_pauli,
                               build_stabilizers, commutation_exponent,
                               commutation_exponents, enumerate_pauli_errors,
                               error_count, ground_space, kl_check_bytes,
@@ -23,7 +24,8 @@ from ssrqec.toriccode import (GuardExceededError, PauliArray, QuditPauli,
                               sector_labels, single_qudit_pauli,
                               ssr_exact_zero_check, wilson_loop)
 from toric_oracles import (_rank_mod_p, dense_c, kl_elements, oracle_report,
-                           pauli_adjoint, pauli_dense, ssr_certificate)
+                           pauli_adjoint, pauli_dense, ssr_certificate,
+                           stabilizers_by_vertex)
 
 LAT22 = TorusLattice(2, 2)   # l = 2, N = 2 (dim 2^8)
 LAT23 = TorusLattice(2, 3)   # l = 2, N = 3 (dim 3^8)
@@ -112,6 +114,15 @@ class TestStabilizers:
         rows = np.array([list(s.x_powers) + list(s.z_powers) for s in stabs])
         assert _rank_mod_p(rows, 2) == 6
 
+    @pytest.mark.parametrize("l", range(2, 6))
+    def test_rows_match_per_vertex_oracle(self, l):
+        for n in range(2, 8):
+            lat = TorusLattice(l, n)
+            oracle = stabilizers_by_vertex(lat)
+            np.testing.assert_array_equal(_stabilizer_rows(lat),
+                                          PauliArray.of(oracle, n).xz)
+            assert build_stabilizers(lat) == oracle
+
 
 class TestGroundSpace:
     @pytest.mark.parametrize("lat", [LAT22, LAT23, LAT32])
@@ -152,6 +163,17 @@ class TestWilsonLoops:
 
     def test_loop_weight_is_l(self):
         assert wilson_loop(LAT32, "x", 1, "electric").weight == 3
+
+    @pytest.mark.parametrize("l", range(2, 6))
+    def test_logical_probes_are_the_charge_one_loops(self, l):
+        for n in range(2, 8):
+            lat = TorusLattice(l, n)
+            loops = [wilson_loop(lat, "y", 1, "magnetic"),
+                     wilson_loop(lat, "x", 1, "magnetic"),
+                     wilson_loop(lat, "x", -1, "electric"),
+                     wilson_loop(lat, "y", -1, "electric")]
+            np.testing.assert_array_equal(_logical_probes(lat),
+                                          PauliArray.of(loops, n).xz)
 
 
 class TestSectorBasis:
@@ -418,6 +440,25 @@ class TestSymbolicKl:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
+
+
+@st.composite
+def syndromes(draw):
+    """(syndrome rows with repeats, N); N crosses the 1-, 2-, 4- and 8-byte
+    digit widths, and rows run past 64 bits."""
+    n = draw(st.one_of(st.integers(2, 9), st.sampled_from(
+        [255, 256, 257, 65535, 65536, 65537, 2 ** 32, 2 ** 32 + 1, 2 ** 62])))
+    pool = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+    shape = (draw(st.integers(1, 30)), draw(st.integers(1, 24)))
+    return draw(arrays(np.int64, shape, elements=st.sampled_from(pool))), n
+
+
+@given(syndromes())
+@settings(max_examples=200, deadline=None)
+def test_byte_key_class_ids_match_row_unique(case):
+    rows, n = case
+    _, want = np.unique(rows, axis=0, return_inverse=True)
+    np.testing.assert_array_equal(_class_ids(rows, n), want.reshape(-1))
 
 
 def violating_pairs_from_blocks(report):

@@ -6,7 +6,9 @@ an error set on the sector basis into one (E, E, N^2, N^2) array;
 off it.  The syndrome-class check ``toriccode.kl_check_errors`` must agree
 with this path.  ``pauli_dense`` builds the dense matrix of a Pauli,
 ``pauli_adjoint`` its adjoint one Pauli at a time, and ``ssr_certificate``
-decides stabilizer membership by rank over GF(N).
+decides stabilizer membership by rank over GF(N).  ``stabilizers_by_vertex``
+builds the stars and plaquettes one vertex at a time, edge by edge, as the
+reference for the index arithmetic of ``toriccode._stabilizer_rows``.
 """
 
 import math
@@ -19,6 +21,28 @@ from ssrqec.toriccode import (PauliArray, QuditPauli, TorusLattice,
                               _logical_probes, build_stabilizers,
                               commutation_exponent, commutation_exponents,
                               pair_phases, pauli_permutation)
+
+
+def stabilizers_by_vertex(lat: TorusLattice) -> list[QuditPauli]:
+    """l^2 star operators followed by l^2 plaquette operators."""
+    stabs = []
+    for y in range(lat.l):
+        for x in range(lat.l):
+            xs = [0] * lat.n_edges
+            xs[lat.edge("h", x, y)] += 1       # outgoing +x
+            xs[lat.edge("v", x, y)] += 1       # outgoing +y
+            xs[lat.edge("h", x - 1, y)] -= 1   # incoming from -x
+            xs[lat.edge("v", x, y - 1)] -= 1   # incoming from -y
+            stabs.append(QuditPauli(tuple(xs), (0,) * lat.n_edges, lat.n))
+    for y in range(lat.l):
+        for x in range(lat.l):
+            zs = [0] * lat.n_edges
+            zs[lat.edge("h", x, y)] += 1       # bottom, +x
+            zs[lat.edge("v", x + 1, y)] += 1   # right, +y
+            zs[lat.edge("h", x, y + 1)] -= 1   # top, -x
+            zs[lat.edge("v", x, y)] -= 1       # left, -y
+            stabs.append(QuditPauli((0,) * lat.n_edges, tuple(zs), lat.n))
+    return stabs
 
 
 def kl_elements(lat: TorusLattice, errors: PauliArray) -> np.ndarray:
