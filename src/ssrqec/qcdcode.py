@@ -8,6 +8,11 @@ repetition code in the +/- basis, measuring adjacent parity checks and
 majority-voting corrects those errors; Monte Carlo estimates of the
 logical failure rate are checked against the binomial tail.
 
+A repetition state is kept as its nonzero configurations, a (k, n) bool
+array (True meaning |->), and their k amplitudes, so flips and parity
+checks are column operations and the exact recovery cycle runs at the
+Monte Carlo's n.
+
 Assumption carried over from the protocol being modeled: the auxiliary
 environment particle is discarded after the momentum projection.  That
 separability assumption is recorded in report metadata by the CLI layer.
@@ -16,12 +21,12 @@ separability assumption is recorded in report metadata by the CLI layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .hilbert import ProductSpace, StateVector
+from ._rowkeys import class_ids
 
 
 @dataclass(frozen=True)
@@ -182,59 +187,60 @@ def error_operator_pn(table: AmplitudeTable, s: str, k: int, kp: int) -> np.ndar
 class RepetitionState:
     """n-particle state in the +/- basis with per-particle momentum labels.
 
-    ``psi`` is the flat 2^n amplitude array, bit 0 meaning |+> and bit 1
-    meaning |->, first particle most significant (row-major, matching the
-    hilbert convention).  Momenta are classical bookkeeping labels: every
-    configuration in the superposition shares them.
+    The state is a list of its nonzero configurations: row r of the (k, n)
+    bool array ``configs`` is one basis configuration, True meaning |-> and
+    False |+>, first particle in column 0, and ``amps[r]`` is its amplitude.
+    The constructor adds the amplitudes of repeated rows, drops rows whose
+    amplitude is zero and stores the rest in ascending row order.  Momenta
+    are classical bookkeeping labels: every configuration in the
+    superposition shares them.
     """
 
     n: int
-    psi: np.ndarray
+    configs: np.ndarray
+    amps: np.ndarray
     momenta: tuple[int, ...]
 
     def __post_init__(self):
         if self.n < 1 or self.n % 2 == 0:
             raise ValueError("particle count must be odd (decode-time majority vote)")
-        psi = np.asarray(self.psi, dtype=np.complex128).reshape(-1)
-        if psi.shape[0] != 2 ** self.n:
-            raise ValueError("amplitude array must have length 2^n")
-        psi = psi.copy()
-        psi.setflags(write=False)
-        object.__setattr__(self, "psi", psi)
+        configs = np.asarray(self.configs)
+        if configs.ndim != 2 or configs.shape[1] != self.n:
+            raise ValueError("configs must have shape (k, n)")
+        if not np.isin(configs, (0, 1)).all():
+            raise ValueError("configuration entries must be 0 or 1")
+        amps = np.asarray(self.amps, dtype=np.complex128).reshape(-1)
+        if amps.shape[0] != configs.shape[0]:
+            raise ValueError("one amplitude per configuration row required")
         mom = tuple(int(m) for m in self.momenta)
         if len(mom) != self.n:
             raise ValueError("one momentum label per particle required")
+        # packbits is big-endian, so the byte keys sort as the rows do
+        ids = class_ids(np.packbits(configs.astype(bool), axis=1), 256)
+        summed = np.zeros(ids.max(initial=-1) + 1, dtype=np.complex128)
+        np.add.at(summed, ids, amps)
+        rows = np.empty((summed.size, self.n), dtype=bool)
+        rows[ids] = configs
+        keep = summed != 0
+        for name, arr in (("configs", rows[keep]), ("amps", summed[keep])):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "momenta", mom)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.psi))
+        return float(np.linalg.norm(self.amps))
 
     def normalized(self) -> "RepetitionState":
         nrm = self.norm()
         if nrm == 0:
             raise ValueError("cannot normalize zero state")
-        return RepetitionState(self.n, self.psi / nrm, self.momenta)
+        return replace(self, amps=self.amps / nrm)
 
     def logical_amplitudes(self) -> tuple[complex, complex]:
         """(c_plus, c_minus) components on |+...+> and |-...->."""
-        return complex(self.psi[0]), complex(self.psi[-1])
-
-    def to_pn_state_vector(self) -> StateVector:
-        """Expand into the p/n product basis (for partial-trace diagnostics)."""
-        h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-        t = self.psi.reshape((2,) * self.n)
-        for axis in range(self.n):
-            t = np.tensordot(h, t, axes=([1], [axis]))
-            t = np.moveaxis(t, 0, axis)
-        space = ProductSpace((2,) * self.n,
-                             tuple(f"nucleon{i}" for i in range(self.n)))
-        return StateVector(space, t.reshape(-1))
-
-
-def _flip_particle(psi: np.ndarray, n: int, particle: int) -> np.ndarray:
-    """Apply the |+> <-> |-> flip (effective Z) on one particle (0-based)."""
-    t = psi.reshape((2,) * n)
-    return np.flip(t, axis=particle).reshape(-1)
+        minus = self.configs.sum(axis=1)
+        return (complex(self.amps[minus == 0].sum()),
+                complex(self.amps[minus == self.n].sum()))
 
 
 def encode_repetition(c_plus: complex, c_minus: complex, n: int) -> RepetitionState:
@@ -243,10 +249,8 @@ def encode_repetition(c_plus: complex, c_minus: complex, n: int) -> RepetitionSt
         raise ValueError("logical amplitudes must be normalized")
     if n % 2 == 0:
         raise ValueError("even n rejected: majority decode needs odd n")
-    psi = np.zeros(2 ** n, dtype=np.complex128)
-    psi[0] = c_plus
-    psi[-1] = c_minus
-    return RepetitionState(n, psi, (0,) * n)
+    configs = np.array([[False], [True]]).repeat(n, axis=1)
+    return RepetitionState(n, configs, [c_plus, c_minus], (0,) * n)
 
 
 @dataclass(frozen=True)
@@ -265,22 +269,25 @@ def apply_scattering_error(state: RepetitionState, particle: int,
     """Branch expansion over k': (alpha_1 I + alpha_2 Z) on one particle.
 
     Z here is the effective flip |+> <-> |-> of the repetition code's
-    qubit.  Branch weights are |alpha_1|^2 + |alpha_2|^2 times the input
-    norm; they sum to at most 1 (deficit = unmodeled channels).
+    qubit, an XOR of the particle's column.  Each branch stacks the rows
+    with their flipped copies, scaled by alpha_1 and alpha_2.  Branch
+    weights are |alpha_1|^2 + |alpha_2|^2 times the input norm; they sum to
+    at most 1 (deficit = unmodeled channels).
     """
     if not 0 <= particle < state.n:
         raise ValueError(f"particle index {particle} out of range")
     table.grid.check(k)
     branches = []
-    flipped = _flip_particle(state.psi, state.n, particle)
+    flipped = state.configs ^ (np.arange(state.n) == particle)
+    configs = np.concatenate([state.configs, flipped])
     for kp in table.row_kprimes(s, "p", k):
         a1, a2 = alpha_decomposition(table, s, k, kp)
-        psi_b = a1 * state.psi + a2 * flipped
-        w = float(np.linalg.norm(psi_b) ** 2)
         momenta = list(state.momenta)
         momenta[particle] = kp
-        branches.append(ScatterBranch(
-            kp, k - kp, w, RepetitionState(state.n, psi_b, tuple(momenta))))
+        branch = RepetitionState(state.n, configs,
+                                 np.concatenate([a1 * state.amps, a2 * state.amps]),
+                                 tuple(momenta))
+        branches.append(ScatterBranch(kp, k - kp, branch.norm() ** 2, branch))
     return branches
 
 
@@ -312,7 +319,7 @@ def momentum_project_and_boost(branches: Sequence[ScatterBranch],
     b = branches[idx]
     momenta = list(b.state.momenta)
     momenta[particle] = 0
-    post = RepetitionState(b.state.n, b.state.psi, tuple(momenta)).normalized()
+    post = replace(b.state, momenta=tuple(momenta)).normalized()
     return b.k_out, post, float(probs[idx])
 
 
@@ -327,39 +334,26 @@ class SyndromeResult:
             raise ValueError("syndrome entries must be +/-1")
 
 
-def _config_signs(n: int) -> np.ndarray:
-    """Per-configuration eigenvalues of each single-particle X, shape (2^n, n)."""
-    idx = np.arange(2 ** n)
-    bits = (idx[:, None] >> np.arange(n - 1, -1, -1)[None, :]) & 1
-    return 1 - 2 * bits  # |+> -> +1, |-> -> -1
-
-
-def _config_syndromes(n: int) -> np.ndarray:
-    signs = _config_signs(n)
-    return signs[:, :-1] * signs[:, 1:]  # shape (2^n, n-1)
-
-
 def syndrome_outcomes(state: RepetitionState
                       ) -> list[tuple[SyndromeResult, float, RepetitionState]]:
-    """All syndrome outcomes with Born probabilities and collapsed states."""
+    """All syndrome outcomes with Born probabilities and collapsed states.
+
+    Check i reads -1 on a row whose columns i and i+1 differ.  The rows are
+    grouped by the packed bytes of their "columns agree" bits, so the
+    outcomes come in ascending order of the +/-1 pattern.
+    """
     if len(set(state.momenta)) != 1:
         raise ValueError("syndrome measurement requires a definite common momentum")
-    syn = _config_syndromes(state.n)
-    keys: Dict[tuple[int, ...], np.ndarray] = {}
-    for cfg in range(2 ** state.n):
-        key = tuple(int(x) for x in syn[cfg])
-        mask = keys.setdefault(key, np.zeros(2 ** state.n, dtype=bool))
-        mask[cfg] = True
+    differ = state.configs[:, :-1] ^ state.configs[:, 1:]
+    ids = class_ids(np.packbits(~differ, axis=1), 256)
+    probs = np.bincount(ids, weights=np.abs(state.amps) ** 2) / state.norm() ** 2
     out = []
-    nrm2 = state.norm() ** 2
-    for key in sorted(keys):
-        mask = keys[key]
-        proj = np.where(mask, state.psi, 0.0)
-        p = float(np.linalg.norm(proj) ** 2) / nrm2
-        if p < 1e-15:
-            continue
-        post = RepetitionState(state.n, proj, state.momenta).normalized()
-        out.append((SyndromeResult(key), p, post))
+    for c in np.flatnonzero(probs >= 1e-15):
+        rows = ids == c
+        pattern = tuple((1 - 2 * differ[rows][0].astype(int)).tolist())
+        post = RepetitionState(state.n, state.configs[rows], state.amps[rows],
+                               state.momenta).normalized()
+        out.append((SyndromeResult(pattern), float(probs[c]), post))
     return out
 
 
@@ -383,15 +377,10 @@ def decode_phase_flip(state: RepetitionState, syndrome: SyndromeResult
     if len(syndrome.pattern) != n - 1:
         raise ValueError("syndrome length must be n - 1")
     # chain reconstruction: c_1 = +1, c_{i+1} = c_i * s_i; flip the minority sign
-    chain = [1]
-    for s in syndrome.pattern:
-        chain.append(chain[-1] * s)
-    minus = [i for i, c in enumerate(chain) if c == -1]
-    flips = minus if len(minus) <= n // 2 else [i for i in range(n) if i not in minus]
-    psi = state.psi
-    for i in flips:
-        psi = _flip_particle(psi, n, i)
-    return RepetitionState(n, psi, state.momenta)
+    flips = np.cumprod((1,) + syndrome.pattern) == -1
+    if flips.sum() > n // 2:
+        flips = ~flips
+    return replace(state, configs=state.configs ^ flips)
 
 
 def recovery_cycle(state: RepetitionState, particle: int, table: AmplitudeTable,

@@ -46,6 +46,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import klcore
+from ._rowkeys import class_ids
 from .errors import GuardExceededError
 from .hilbert import ProductSpace
 from .klcore import KLReport
@@ -541,18 +542,6 @@ class SyndromeKLReport:
                 "violations": klcore.violations_to_json(self.violations)}
 
 
-def _class_ids(syndromes: np.ndarray, n: int) -> np.ndarray:
-    """Class id of each syndrome row (entries in [0, N)): the rank of the row
-    among the distinct rows in lexicographic order, as ``np.unique(axis=0)``
-    numbers them.  Each row is read as one void key of big-endian unsigned
-    digits, whose byte order is that lexicographic order, so one 1-D
-    ``np.unique`` does the grouping."""
-    digits = np.ascontiguousarray(syndromes,
-                                  dtype=np.min_scalar_type(n - 1).newbyteorder(">"))
-    key = np.dtype((np.void, digits.itemsize * digits.shape[1]))
-    return np.unique(digits.view(key).reshape(-1), return_inverse=True)[1]
-
-
 def kl_check_errors(lat: TorusLattice, errors: PauliArray,
                     tol: float = 1e-9) -> SyndromeKLReport:
     """Exact KL check of a Pauli error set on the sector basis, by syndrome class.
@@ -569,12 +558,12 @@ def kl_check_errors(lat: TorusLattice, errors: PauliArray,
 
     The syndromes are products with ``_stabilizer_rows``, built by index
     arithmetic; each error's syndrome row is one byte-string key
-    (``_class_ids``), so one 1-D ``np.unique`` numbers the classes in
+    (``class_ids``), so one 1-D ``np.unique`` numbers the classes in
     lexicographic syndrome order.  One stable sort groups the errors by class,
     and each class's block is a slice of it and of C.
     """
     n, k = lat.n, lat.n * lat.n
-    cls = _class_ids(commutation_exponents(errors.xz, _stabilizer_rows(lat), n), n)
+    cls = class_ids(commutation_exponents(errors.xz, _stabilizer_rows(lat), n), n)
     logical = commutation_exponents(errors.xz, _logical_probes(lat), n)
     code = logical @ n ** np.arange(4)          # the logical powers as one int
     members = np.argsort(cls, kind="stable")    # grouped by class, ascending

@@ -6,9 +6,14 @@ register and the total charge of n, one sampled or forced B measurement of
 a charge-list state, the truncated shift ``U+`` and the phase states of the
 invariant simulation; the full trace of a density matrix; the CSV cell
 format of the runner's outputs; the QCD code's effective distance and its
-electromagnetic phase error.  The dense rotor protocol (single-register ``phase_flip``, codewords,
-simulated superpositions, phase flips and B-measurement recovery on dense
-joint vectors) is the oracle for the charge-list states of ``ssrqec.rotor``.
+electromagnetic phase error.  The dense rotor protocol (single-register
+``phase_flip``, codewords, simulated superpositions, phase flips and
+B-measurement recovery on dense joint vectors) is the oracle for the
+charge-list states of ``ssrqec.rotor``.  The dense repetition code
+(``DenseRepetitionState`` on 2^n amplitudes, particle flips, scattering
+branches, syndrome outcomes and majority decode) is the oracle for the
+configuration-list states of ``ssrqec.qcdcode``; ``dense_psi`` and
+``to_pn_state_vector`` expand a configuration-list state to 2^n amplitudes.
 
 Truncation boundary: ``shift_up`` annihilates the top charge rather than
 wrapping around, so boundary leakage shows up as norm loss instead of a
@@ -24,6 +29,8 @@ import numpy as np
 from ssrqec.hilbert import (DensityMatrix, Operator, ProductSpace, StateVector,
                             basis_state)
 from ssrqec import rotor
+from ssrqec.qcdcode import (AmplitudeTable, RepetitionState, SyndromeResult,
+                            alpha_decomposition)
 from ssrqec.rotor import (PROB_FLOOR, ChargeState, GroupDiscretization,
                           RotorSpace, _profile_coeffs)
 
@@ -260,3 +267,119 @@ def prepare_simulated_superposition(alphas: Mapping[int, complex],
             amps[(ir * d + ia) * d + ib] += a_q * coeffs[k]
     joint = ProductSpace((d, d, d), ("R", "A", "B"))
     return StateVector(joint, amps)
+
+
+# ---------------------------------------------------------------------------
+# Dense repetition code: the oracle for ssrqec.qcdcode.RepetitionState
+
+
+@dataclass(frozen=True)
+class DenseRepetitionState:
+    """n-particle state in the +/- basis as its flat 2^n amplitude array.
+
+    Bit 0 of a configuration index means |+> and bit 1 means |->, first
+    particle most significant (row-major, matching the hilbert convention).
+    """
+
+    n: int
+    psi: np.ndarray
+    momenta: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.n < 1 or self.n % 2 == 0:
+            raise ValueError("particle count must be odd (decode-time majority vote)")
+        psi = np.asarray(self.psi, dtype=np.complex128).reshape(-1)
+        if psi.shape[0] != 2 ** self.n:
+            raise ValueError("amplitude array must have length 2^n")
+        object.__setattr__(self, "psi", psi.copy())
+        mom = tuple(int(m) for m in self.momenta)
+        if len(mom) != self.n:
+            raise ValueError("one momentum label per particle required")
+        object.__setattr__(self, "momenta", mom)
+
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.psi))
+
+    def normalized(self) -> "DenseRepetitionState":
+        return DenseRepetitionState(self.n, self.psi / self.norm(), self.momenta)
+
+    def logical_amplitudes(self) -> tuple[complex, complex]:
+        return complex(self.psi[0]), complex(self.psi[-1])
+
+
+def dense_psi(state: RepetitionState) -> np.ndarray:
+    """The 2^n amplitude array of a configuration-list state (small n only)."""
+    psi = np.zeros(2 ** state.n, dtype=np.complex128)
+    psi[state.configs @ (1 << np.arange(state.n - 1, -1, -1))] = state.amps
+    return psi
+
+
+def to_pn_state_vector(state: RepetitionState) -> StateVector:
+    """Expand into the p/n product basis (for partial-trace diagnostics)."""
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    t = dense_psi(state).reshape((2,) * state.n)
+    for axis in range(state.n):
+        t = np.tensordot(h, t, axes=([1], [axis]))
+        t = np.moveaxis(t, 0, axis)
+    space = ProductSpace((2,) * state.n,
+                         tuple(f"nucleon{i}" for i in range(state.n)))
+    return StateVector(space, t.reshape(-1))
+
+
+def flip_particle(psi: np.ndarray, n: int, particle: int) -> np.ndarray:
+    """Apply the |+> <-> |-> flip (effective Z) on one particle (0-based)."""
+    return np.flip(psi.reshape((2,) * n), axis=particle).reshape(-1)
+
+
+def scattering_branches(state: DenseRepetitionState, particle: int,
+                        table: AmplitudeTable, s: str, k: int
+                        ) -> list[tuple[int, float, DenseRepetitionState]]:
+    """(k', weight, unnormalized state) of each branch of alpha_1 I + alpha_2 Z."""
+    flipped = flip_particle(state.psi, state.n, particle)
+    out = []
+    for kp in table.row_kprimes(s, "p", k):
+        a1, a2 = alpha_decomposition(table, s, k, kp)
+        psi_b = a1 * state.psi + a2 * flipped
+        momenta = list(state.momenta)
+        momenta[particle] = kp
+        out.append((kp, float(np.linalg.norm(psi_b) ** 2),
+                    DenseRepetitionState(state.n, psi_b, tuple(momenta))))
+    return out
+
+
+def syndrome_outcomes(state: DenseRepetitionState
+                      ) -> list[tuple[SyndromeResult, float, DenseRepetitionState]]:
+    """All syndrome outcomes, one 2^n mask each, in ascending pattern order."""
+    n = state.n
+    idx = np.arange(2 ** n)
+    signs = 1 - 2 * ((idx[:, None] >> np.arange(n - 1, -1, -1)[None, :]) & 1)
+    syn = signs[:, :-1] * signs[:, 1:]
+    keys: dict[tuple[int, ...], np.ndarray] = {}
+    for cfg in range(2 ** n):
+        key = tuple(int(x) for x in syn[cfg])
+        keys.setdefault(key, np.zeros(2 ** n, dtype=bool))[cfg] = True
+    out = []
+    nrm2 = state.norm() ** 2
+    for key in sorted(keys):
+        proj = np.where(keys[key], state.psi, 0.0)
+        p = float(np.linalg.norm(proj) ** 2) / nrm2
+        if p < 1e-15:
+            continue
+        post = DenseRepetitionState(n, proj, state.momenta).normalized()
+        out.append((SyndromeResult(key), p, post))
+    return out
+
+
+def decode_phase_flip(state: DenseRepetitionState, syndrome: SyndromeResult
+                      ) -> DenseRepetitionState:
+    """Flip the minority sign of the chain c_1 = +1, c_{i+1} = c_i s_i."""
+    n = state.n
+    chain = [1]
+    for s in syndrome.pattern:
+        chain.append(chain[-1] * s)
+    minus = [i for i, c in enumerate(chain) if c == -1]
+    flips = minus if len(minus) <= n // 2 else [i for i in range(n) if i not in minus]
+    psi = state.psi
+    for i in flips:
+        psi = flip_particle(psi, n, i)
+    return DenseRepetitionState(n, psi, state.momenta)

@@ -533,8 +533,8 @@ DOMAIN_MODULES = {"hilbert", "klcore", "qcdcode", "rotor", "scatter", "toriccode
 CHAINS = {
     "kl-check": {"klcore", "hilbert"},
     "rotor": {"rotor", "hilbert"},
-    "qcd-rates": {"qcdcode", "hilbert"},
-    "qcd-code": {"qcdcode", "hilbert"},
+    "qcd-rates": {"qcdcode"},
+    "qcd-code": {"qcdcode"},
     "xsec": {"scatter"},
     "toric": {"toriccode", "klcore", "hilbert"},
 }

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,7 +25,8 @@ from ssrqec.qcdcode import (DEFAULTS, AmplitudeTable, MomentumGrid,
                             syndrome_outcomes, thermal_flip_suppression,
                             toy_amplitude_table)
 
-from helpers import effective_distance, em_phase_error
+import helpers
+from helpers import dense_psi, effective_distance, em_phase_error, to_pn_state_vector
 
 INV_SQRT2 = 1 / math.sqrt(2)
 
@@ -32,6 +34,12 @@ INV_SQRT2 = 1 / math.sqrt(2)
 def logical_overlap(state, c_plus, c_minus):
     cp, cm = state.normalized().logical_amplitudes()
     return abs(np.conj(c_plus) * cp + np.conj(c_minus) * cm) ** 2
+
+
+def flip(state, *particles):
+    """The state with the |+> <-> |-> flip on each listed particle."""
+    mask = np.isin(np.arange(state.n), particles)
+    return RepetitionState(state.n, state.configs ^ mask, state.amps, state.momenta)
 
 
 class TestRateModels:
@@ -214,12 +222,12 @@ class TestEncodeAndStates:
 
     def test_single_particle_plus_superposition_is_proton(self):
         st = encode_repetition(INV_SQRT2, INV_SQRT2, 1)
-        pn = st.to_pn_state_vector()
+        pn = to_pn_state_vector(st)
         np.testing.assert_allclose(pn.amplitudes, [1.0, 0.0], atol=1e-12)
 
     def test_reduced_single_particle_maximally_mixed(self):
         st = encode_repetition(INV_SQRT2, INV_SQRT2, 3)
-        rho = DensityMatrix.from_state(st.to_pn_state_vector())
+        rho = DensityMatrix.from_state(to_pn_state_vector(st))
         red = partial_trace(rho, keep=[0])
         # maximally mixed in the +/- basis means off-diagonal-free there;
         # transform the p/n reduction back
@@ -235,6 +243,27 @@ class TestEncodeAndStates:
         with pytest.raises(ValueError):
             encode_repetition(1.0, 1.0, 3)
 
+    @pytest.mark.parametrize("n, configs, amps, momenta, match", [
+        (3, [0, 0, 0], [1.0], (0, 0, 0), "shape"),
+        (3, [[0, 0]], [1.0], (0, 0, 0), "shape"),
+        (3, [[0, 2, 0]], [1.0], (0, 0, 0), "0 or 1"),
+        (3, [[0, 0, 0], [1, 1, 1]], [1.0], (0, 0, 0), "one amplitude"),
+        (2, [[0, 0]], [1.0], (0, 0), "odd"),
+        (3, [[0, 0, 0]], [1.0], (0, 0), "momentum"),
+    ])
+    def test_constructor_rejects_malformed_input(self, n, configs, amps, momenta,
+                                                 match):
+        with pytest.raises(ValueError, match=match):
+            RepetitionState(n, np.array(configs), amps, momenta)
+
+    def test_duplicate_rows_add(self):
+        state = RepetitionState(
+            3, [[1, 0, 0], [0, 0, 0], [1, 0, 0], [0, 1, 1], [0, 1, 1]],
+            [0.5, 0.25, 0.5j, 0.3, -0.3], (0, 0, 0))
+        # rows come out sorted; rows whose amplitudes cancel are dropped
+        np.testing.assert_array_equal(state.configs, [[0, 0, 0], [1, 0, 0]])
+        np.testing.assert_array_equal(state.amps, [0.25, 0.5 + 0.5j])
+
 
 class TestScatteringChannel:
     def test_identity_channel_preserves_state_on_every_branch(self):
@@ -249,7 +278,7 @@ class TestScatteringChannel:
         table = toy_amplitude_table(0.2, 0.0, MomentumGrid(0))
         st = encode_repetition(1.0, 0.0, 3)
         (branch,) = apply_scattering_error(st, 0, table, "phi1", 0)
-        psi = branch.state.psi
+        psi = dense_psi(branch.state)
         assert psi[0] == pytest.approx(0.99)       # |+++>
         assert psi[4] == pytest.approx(-0.01)      # |-++>
         assert branch.env_momentum == 0
@@ -273,7 +302,7 @@ class TestScatteringChannel:
         expect[4] = a2 * 0.6   # |-++>
         expect[3] = a2 * 0.8   # |+-->
         expect /= np.linalg.norm(expect)
-        np.testing.assert_allclose(post.psi, expect, atol=1e-12)
+        np.testing.assert_allclose(dense_psi(post), expect, atol=1e-12)
         assert post.momenta == (0, 0, 0)
 
     def test_branch_probabilities_normalized(self):
@@ -302,32 +331,23 @@ class TestSyndromeAndDecode:
         assert p == pytest.approx(1.0)
 
     def test_single_flip_patterns(self):
-        from ssrqec.qcdcode import _flip_particle
         st = encode_repetition(0.6, 0.8, 3)
         expected = {0: (-1, 1), 1: (-1, -1), 2: (1, -1)}
         for particle, pattern in expected.items():
-            flipped = RepetitionState(3, _flip_particle(st.psi, 3, particle),
-                                      st.momenta)
-            ((syn, p, _),) = syndrome_outcomes(flipped)
+            ((syn, p, _),) = syndrome_outcomes(flip(st, particle))
             assert syn.pattern == pattern
 
     def test_decode_restores_single_flip(self):
-        from ssrqec.qcdcode import _flip_particle
         st = encode_repetition(0.6, 0.8, 3)
         for particle in range(3):
-            flipped = RepetitionState(3, _flip_particle(st.psi, 3, particle),
-                                      st.momenta)
-            ((syn, _, coll),) = syndrome_outcomes(flipped)
+            ((syn, _, coll),) = syndrome_outcomes(flip(st, particle))
             dec = decode_phase_flip(coll, syn)
             assert logical_overlap(dec, 0.6, 0.8) == pytest.approx(1.0,
                                                                    abs=1e-12)
 
     def test_two_flips_cause_logical_exchange(self):
-        from ssrqec.qcdcode import _flip_particle
         st = encode_repetition(0.6, 0.8, 3)
-        psi = _flip_particle(_flip_particle(st.psi, 3, 0), 3, 1)
-        flipped = RepetitionState(3, psi, st.momenta)
-        ((syn, _, coll),) = syndrome_outcomes(flipped)
+        ((syn, _, coll),) = syndrome_outcomes(flip(st, 0, 1))
         dec = decode_phase_flip(coll, syn)
         assert logical_overlap(dec, 0.8, 0.6) == pytest.approx(1.0, abs=1e-12)
 
@@ -340,15 +360,22 @@ class TestSyndromeAndDecode:
         assert len(syn.pattern) == 2
         assert coll.norm() == pytest.approx(1.0, abs=1e-12)
 
+    def test_single_particle_has_one_empty_outcome(self):
+        st = encode_repetition(0.6, 0.8, 1)
+        ((syn, p, coll),) = syndrome_outcomes(st)
+        assert syn.pattern == ()
+        assert p == pytest.approx(1.0)
+        assert decode_phase_flip(coll, syn).logical_amplitudes() == (0.6, 0.8)
+
     def test_syndrome_requires_common_momentum(self):
         st = encode_repetition(0.6, 0.8, 3)
-        mixed = RepetitionState(3, st.psi, (0, 1, 0))
+        mixed = RepetitionState(3, st.configs, st.amps, (0, 1, 0))
         with pytest.raises(ValueError):
             syndrome_outcomes(mixed)
 
 
 class TestEndToEnd:
-    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("n", [3, 5, 101])
     def test_every_branch_every_particle_recovers(self, n):
         table = toy_amplitude_table(0.3, 0.2, MomentumGrid(1))
         st = encode_repetition(0.6, 0.8, n)
@@ -363,6 +390,22 @@ class TestEndToEnd:
                         assert logical_overlap(dec, 0.6, 0.8) == pytest.approx(
                             1.0, abs=1e-12)
 
+    def test_recovery_cycle_at_n_1001_is_small(self):
+        table = toy_amplitude_table(0.3, 0.2, MomentumGrid(1))
+        st = encode_repetition(0.6, 0.8, 1001)
+        tracemalloc.start()
+        try:
+            # on this k' = 1 branch both syndromes have probability 1/2; seed 2
+            # draws the one that fires the two checks beside particle 500
+            _, syn, dec = recovery_cycle(st, 500, table, "phi2", 0, branch_outcome=1,
+                                         rng=np.random.default_rng(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+        assert [i for i, c in enumerate(syn.pattern) if c == -1] == [499, 500]
+        assert logical_overlap(dec, 0.6, 0.8) == pytest.approx(1.0, abs=1e-12)
+
     def test_recovery_cycle_wrapper(self):
         table = toy_amplitude_table(0.3, 0.2, MomentumGrid(1))
         st = encode_repetition(INV_SQRT2, INV_SQRT2, 3)
@@ -370,6 +413,68 @@ class TestEndToEnd:
                                       rng=np.random.default_rng(5))
         assert logical_overlap(dec, INV_SQRT2, INV_SQRT2) == pytest.approx(
             1.0, abs=1e-12)
+
+
+class TestDenseOracle:
+    """The configuration-list cycle against the dense 2^n code in helpers."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_cycle_matches_dense_oracle(self, data):
+        n = data.draw(st.sampled_from([1, 3, 5, 7, 9, 11]), label="n")
+        theta = data.draw(st.floats(0.0, math.pi / 2), label="theta")
+        phase = data.draw(st.floats(0.0, 2 * math.pi), label="phase")
+        c_plus, c_minus = math.cos(theta), complex(np.exp(1j * phase) * math.sin(theta))
+        grid = MomentumGrid(data.draw(st.integers(0, 2), label="k_max"))
+        couplings = data.draw(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                              label="couplings")
+        table = toy_amplitude_table(*couplings, grid,
+                                    data.draw(st.floats(0.1, 0.9), label="tail"))
+        state = encode_repetition(c_plus, c_minus, n)
+        psi = np.zeros(2 ** n, dtype=complex)
+        psi[0], psi[-1] = c_plus, c_minus
+        dense = helpers.DenseRepetitionState(n, psi, (0,) * n)
+        np.testing.assert_array_equal(dense_psi(state), psi)
+
+        for _ in range(data.draw(st.integers(1, 2), label="errors")):
+            s = data.draw(st.sampled_from(qcdcode.SPECIES), label="species")
+            particle = data.draw(st.integers(0, n - 1), label="particle")
+            k = data.draw(st.integers(-grid.k_max, grid.k_max), label="k")
+            branches = apply_scattering_error(state, particle, table, s, k)
+            want = helpers.scattering_branches(dense, particle, table, s, k)
+            assert [b.k_out for b in branches] == [kp for kp, _, _ in want]
+            weights = np.array([w for _, w, _ in want])
+            np.testing.assert_allclose([b.weight for b in branches], weights,
+                                       rtol=0, atol=1e-12)
+            probs = weights / weights.sum()
+            i = data.draw(st.sampled_from(np.flatnonzero(probs > 1e-9).tolist()),
+                          label="branch")
+            kp, state, prob = momentum_project_and_boost(branches, particle,
+                                                         outcome=want[i][0])
+            assert prob == pytest.approx(probs[i], abs=1e-12)
+            momenta = list(want[i][2].momenta)
+            momenta[particle] = 0
+            dense = helpers.DenseRepetitionState(n, want[i][2].psi, momenta).normalized()
+            np.testing.assert_allclose(dense_psi(state), dense.psi, rtol=0, atol=1e-12)
+            assert state.momenta == dense.momenta
+
+        outcomes = syndrome_outcomes(state)
+        want = helpers.syndrome_outcomes(dense)
+        assert [syn for syn, _, _ in outcomes] == [syn for syn, _, _ in want]
+        probs = np.array([p for _, p, _ in want])
+        np.testing.assert_allclose([p for _, p, _ in outcomes], probs, rtol=0, atol=1e-12)
+        for (syn, _, post), (_, _, dense_post) in zip(outcomes, want):
+            np.testing.assert_allclose(dense_psi(post), dense_post.psi,
+                                       rtol=0, atol=1e-12)
+            dec = decode_phase_flip(post, syn)
+            dense_dec = helpers.decode_phase_flip(dense_post, syn)
+            np.testing.assert_allclose(dense_psi(dec), dense_dec.psi, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(dec.logical_amplitudes(),
+                                       dense_dec.logical_amplitudes(), rtol=0, atol=1e-12)
+        seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+        pick = np.random.default_rng(seed).choice(len(want), p=probs / probs.sum())
+        syn, _ = measure_syndrome(state, rng=np.random.default_rng(seed))
+        assert syn == want[pick][0]
 
 
 class TestMonteCarlo:
