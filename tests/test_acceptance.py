@@ -27,12 +27,12 @@ from ssrqec.scatter import (cm_kinematics, cm_momentum, sigma_tot,
                             spin_summed_amp2, threshold_incident_energy)
 from ssrqec.toriccode import (TorusLattice, apply_pauli,
                               enumerate_pauli_errors, ground_space,
-                              kl_check_paulis, kl_check_toric, pauli_identity,
-                              sector_basis, ssr_exact_zero_check, wilson_loop)
+                              kl_check_paulis, kl_check_toric, sector_basis,
+                              ssr_exact_zero_check, wilson_loop)
 
 from helpers import from_dense, phase_flip
 from test_scatter import trace_amp2
-from toric_oracles import ssr_certificate
+from toric_oracles import pauli_identity, ssr_certificate
 
 INV_SQRT2 = 1 / math.sqrt(2)
 

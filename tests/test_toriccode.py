@@ -16,16 +16,17 @@ from ssrqec.hilbert import Operator, StateVector
 from ssrqec.toriccode import (GuardExceededError, PauliArray, QuditPauli,
                               TorusLattice, _logical_probes,
                               _stabilizer_rows, _weight_chunks, apply_pauli,
-                              build_stabilizers, commutation_exponent,
-                              commutation_exponents, enumerate_pauli_errors,
-                              error_count, ground_space, kl_check_bytes,
-                              kl_check_errors, kl_check_paulis,
-                              kl_check_toric, logical_mask, pair_phases,
-                              pauli_identity, pauli_mul, sector_basis,
-                              sector_labels, single_qudit_pauli,
-                              ssr_exact_zero_check, wilson_loop)
-from toric_oracles import (_rank_mod_p, dense_c, kl_elements, oracle_report,
-                           pauli_adjoint, pauli_dense, ssr_certificate,
+                              build_stabilizers, commutation_exponents,
+                              enumerate_pauli_errors, error_count,
+                              ground_space, kl_check_bytes, kl_check_errors,
+                              kl_check_paulis, kl_check_toric, kl_guard,
+                              pair_phases, pauli_mul, sector_basis,
+                              sector_labels, ssr_exact_zero_check,
+                              wilson_loop)
+from toric_oracles import (_rank_mod_p, commutation_exponent, dense_c,
+                           kl_elements, logical_mask, oracle_report,
+                           pauli_adjoint, pauli_dense, pauli_identity,
+                           single_qudit_pauli, ssr_certificate,
                            stabilizers_by_vertex)
 
 LAT22 = TorusLattice(2, 2)   # l = 2, N = 2 (dim 2^8)
@@ -595,3 +596,98 @@ class TestSymbolicSsr:
         certs = [ssr_certificate(lat, p, stabs) for p in errors]
         assert len(set(certs)) == 3
         assert mask.tolist() == [c == "logical" for c in certs]
+
+
+def enumerated_distance(lat):
+    """Least weight of a logical Pauli, by enumerating every Pauli weight by
+    weight with the ``logical_mask`` oracle; stops at the first logical, and
+    gives None if there is none up to weight l + 1."""
+    return next((weight for weight in range(1, lat.l + 2)
+                 if any(logical_mask(lat, xz).any()
+                        for xz in _weight_chunks(lat, weight, 2 ** 14))), None)
+
+
+class TestDistanceCertificate:
+    @pytest.mark.parametrize("l,n", [(l, n) for l in (2, 3) for n in (2, 3, 4, 5)]
+                             + [(4, 2)])
+    def test_matches_full_enumeration_at_every_weight(self, l, n):
+        lat = TorusLattice(l, n)
+        distance = enumerated_distance(lat)
+        assert distance == l
+        for w in range(l + 2):
+            assert ssr_exact_zero_check(lat, w) is (w < distance)
+
+    @pytest.mark.parametrize("l,n", [(6, 2), (8, 3)])
+    def test_certifies_past_enumeration_reach(self, l, n):
+        lat = TorusLattice(l, n)
+        assert ssr_exact_zero_check(lat) is True
+        assert ssr_exact_zero_check(lat, l - 1) is True
+        assert ssr_exact_zero_check(lat, l) is False
+
+    def test_negative_weight_refused(self):
+        with pytest.raises(ValueError):
+            ssr_exact_zero_check(LAT32, -1)
+
+    @pytest.mark.parametrize("change,match", [
+        ("overlap", "overlap"), ("detected", "commute"), ("other logical", "powers")])
+    def test_broken_translates_raise(self, monkeypatch, change, match):
+        good = toriccode._probe_translates
+
+        def broken(lat):
+            rows = good(lat)
+            if change == "overlap":
+                rows[0, 1] = rows[0, 0]
+            elif change == "detected":
+                rows[2, 1, lat.l ** 2] = 1      # an extra X on v(0, 0)
+            else:
+                rows[0, 1] = rows[1, 0]         # M_x in place of an M_y translate
+            return rows
+
+        monkeypatch.setattr(toriccode, "_probe_translates", broken)
+        with pytest.raises(RuntimeError, match=match):
+            ssr_exact_zero_check(LAT32)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_logicals_are_logical_and_at_least_l_long(self, data):
+        l = data.draw(st.integers(2, 8))
+        n = data.draw(st.integers(2, 5))
+        lat = TorusLattice(l, n)
+        stabs = _stabilizer_rows(lat)
+        probe_c = data.draw(arrays(np.int64, 4, elements=st.integers(0, n - 1))
+                            .filter(lambda c: c.any()))
+        stab_c = data.draw(arrays(np.int64, len(stabs),
+                                  elements=st.integers(0, n - 1)))
+        xz = (probe_c @ _logical_probes(lat) + stab_c @ stabs) % n
+        assert logical_mask(lat, xz[None]).all()
+        m = lat.n_edges
+        assert np.count_nonzero(xz[:m] | xz[m:]) >= l
+
+
+class TestCommutationExponentsExact:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_float_product_matches_int64(self, data):
+        n = data.draw(st.integers(2, 64))
+        width = 2 * data.draw(st.integers(1, 40))
+        a = data.draw(arrays(np.int64, (data.draw(st.integers(1, 6)), width),
+                             elements=st.integers(0, n - 1)))
+        b = data.draw(arrays(np.int64, (data.draw(st.integers(1, 6)), width),
+                             elements=st.integers(0, n - 1)))
+        half = width // 2
+        want = (a @ np.concatenate([-b[:, half:], b[:, :half]], axis=1).T) % n
+        got = commutation_exponents(a, b, n)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+
+
+KL_DISTANCE_CASES = [(n, l, w) for n in (2, 3, 4) for l in (2, 3, 4) for w in (1, 2)
+                     if kl_guard(TorusLattice(l, n), w) is None]
+
+
+@pytest.mark.parametrize("n,l,w", KL_DISTANCE_CASES)
+def test_kl_verdict_matches_distance(n, l, w):
+    # errors of weight <= w are correctable iff every pair product, of weight
+    # <= 2 w, lies below the distance l
+    report = kl_check_toric(TorusLattice(l, n), w)
+    assert (report.verdict == "satisfied") is (2 * w < l)

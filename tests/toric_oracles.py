@@ -9,6 +9,10 @@ with this path.  ``pauli_dense`` builds the dense matrix of a Pauli,
 decides stabilizer membership by rank over GF(N).  ``stabilizers_by_vertex``
 builds the stars and plaquettes one vertex at a time, edge by edge, as the
 reference for the index arithmetic of ``toriccode._stabilizer_rows``.
+``pauli_identity``, ``single_qudit_pauli`` and ``commutation_exponent`` are
+the scalar Pauli algebra the tests use, and ``logical_mask`` marks logical
+operators row by row, the enumeration oracle for
+``toriccode.ssr_exact_zero_check``.
 """
 
 import math
@@ -18,9 +22,39 @@ import numpy as np
 
 from ssrqec import klcore
 from ssrqec.toriccode import (PauliArray, QuditPauli, TorusLattice,
-                              _logical_probes, build_stabilizers,
-                              commutation_exponent, commutation_exponents,
+                              _logical_probes, _stabilizer_rows,
+                              build_stabilizers, commutation_exponents,
                               pair_phases, pauli_permutation)
+
+
+def pauli_identity(n_edges: int, n: int) -> QuditPauli:
+    return QuditPauli((0,) * n_edges, (0,) * n_edges, n)
+
+
+def single_qudit_pauli(lat: TorusLattice, edge: int, x_pow: int, z_pow: int) -> QuditPauli:
+    xs = [0] * lat.n_edges
+    zs = [0] * lat.n_edges
+    xs[edge] = x_pow
+    zs[edge] = z_pow
+    return QuditPauli(tuple(xs), tuple(zs), lat.n)
+
+
+def commutation_exponent(a: QuditPauli, b: QuditPauli) -> int:
+    """c with a b = w^c b a, from the symplectic form mod N."""
+    n = a.n
+    c = sum(za * xb for za, xb in zip(a.z_powers, b.x_powers)) \
+        - sum(zb * xa for zb, xa in zip(b.z_powers, a.x_powers))
+    return c % n
+
+
+def logical_mask(lat: TorusLattice, xz: np.ndarray) -> np.ndarray:
+    """True for each xz row that commutes with every stabilizer and has a
+    nonzero logical power, i.e. is a logical operator; works for any N."""
+    undetected = ~commutation_exponents(xz, _stabilizer_rows(lat), lat.n).any(axis=1)
+    mask = np.zeros(len(xz), dtype=bool)
+    mask[undetected] = commutation_exponents(
+        xz[undetected], _logical_probes(lat), lat.n).any(axis=1)
+    return mask
 
 
 def stabilizers_by_vertex(lat: TorusLattice) -> list[QuditPauli]:
