@@ -18,7 +18,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ssrqec import cli, rotor, scatter
@@ -506,11 +506,47 @@ class TestMainExitCodes:
         assert not (tmp_path / "o").exists()
 
 
+CHECKED_KEYWORDS = {
+    "type", "enum", "minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum",
+    "items", "minItems", "maxItems", "uniqueItems", "properties", "required",
+    "additionalProperties"}
+_BOUNDS = {"type", "minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum"}
+KEYWORDS = {"string": {"type", "enum"}, "integer": _BOUNDS, "number": _BOUNDS,
+            "array": {"type", "items", "minItems", "maxItems", "uniqueItems"},
+            "object": {"type", "properties", "required", "additionalProperties"}}
+
+
+def subschemas(schema: dict):
+    """``schema`` and every schema under it, through properties and items."""
+    yield schema
+    for sub in schema.get("properties", {}).values():
+        yield from subschemas(sub)
+    if "items" in schema:
+        yield from subschemas(schema["items"])
+
+
 class TestRegistry:
     def test_every_schema_is_valid_against_its_metaschema(self):
         jsonschema.Draft202012Validator.check_schema(cli.CONFIG_SCHEMA)
         for experiment in cli.EXPERIMENTS.values():
             jsonschema.Draft202012Validator.check_schema(experiment.schema)
+
+    def test_checker_handles_every_schema_keyword(self):
+        # what cli._violation relies on: each schema names one type and uses
+        # only that type's keywords among the 13 it handles, enums hold strings,
+        # additionalProperties is false, numeric bounds are finite doubles and
+        # unique items are numbers, so hashable and never bools once checked
+        # (then a set counts 1 and 1.0 as one item, as Draft 2020-12 does)
+        assert set().union(*KEYWORDS.values()) == CHECKED_KEYWORDS
+        for schema in [cli.CONFIG_SCHEMA, *(e.schema for e in cli.EXPERIMENTS.values())]:
+            for sub in subschemas(schema):
+                assert set(sub) <= KEYWORDS[sub["type"]], sub
+                assert all(isinstance(v, str) for v in sub.get("enum", []))
+                assert sub.get("additionalProperties", False) is False
+                assert all(abs(sub[k]) <= sys.float_info.max
+                           for k in KEYWORDS["number"] - {"type"} if k in sub)
+                if sub.get("uniqueItems"):
+                    assert sub["items"]["type"] in ("integer", "number")
 
     def test_schema_subcommand_lists_the_registry(self):
         names = cli.CONFIG_SCHEMA["properties"]["experiment"]["enum"]
@@ -574,6 +610,11 @@ class TestLazyImports:
         assert set(validated) <= CHAINS[name]
         assert set(ran) == CHAINS[name]
 
+    def test_cli_does_not_load_jsonschema(self):
+        # jsonschema is a test-only oracle, not a runtime dependency
+        assert fresh_interpreter("import ssrqec.cli\n"
+                                 "print(json.dumps('jsonschema' in sys.modules))") == [False]
+
     def test_every_submodule_resolves(self):
         names, same_errors = fresh_interpreter(
             "import importlib, ssrqec\n"
@@ -595,12 +636,114 @@ class TestLazyImports:
 
 @pytest.mark.parametrize("name", sorted(SMALL_CONFIGS))
 def test_outputs_hash_the_files_on_disk(tmp_path, name):
+    # a second run into the same directory replaces the files with equal bytes
+    first = cli.run(SMALL_CONFIGS[name], str(tmp_path))
+    kept = {file_name: (tmp_path / file_name).read_bytes() for file_name in first["outputs"]}
     report = cli.run(SMALL_CONFIGS[name], str(tmp_path))
-    assert report["outputs"]
+    assert first["outputs"]
+    assert report["outputs"] == first["outputs"]
     for file_name, digest in report["outputs"].items():
-        assert hashlib.sha256((tmp_path / file_name).read_bytes()).hexdigest() == digest
+        data = (tmp_path / file_name).read_bytes()
+        assert data == kept[file_name]
+        assert hashlib.sha256(data).hexdigest() == digest
     saved = json.loads((tmp_path / "run_report.json").read_text(encoding="utf-8"))
     assert saved["outputs"] == report["outputs"]
+
+
+def test_outputs_replace_links_not_write_through_them(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    target, sibling = tmp_path / "target", tmp_path / "sibling"
+    target.write_bytes(b"target")
+    sibling.write_bytes(b"sibling")
+    (out / "logical_error_rate.csv").symlink_to(target)
+    os.link(sibling, out / "run_report.json")
+    report = cli.run(qcd_config(trials=500), str(out))
+    for name in ("logical_error_rate.csv", "run_report.json"):
+        path = out / name
+        assert not path.is_symlink() and path.is_file() and path.stat().st_nlink == 1
+    assert target.read_bytes() == b"target" and sibling.read_bytes() == b"sibling"
+    assert hashlib.sha256((out / "logical_error_rate.csv").read_bytes()).hexdigest() \
+        == report["outputs"]["logical_error_rate.csv"]
+
+
+# --- the schema checker against jsonschema ------------------------------------
+# Valid configs with a part replaced, dropped or added; the values straddle
+# each type, bound and uniqueness rule, and the numbers no double holds.
+
+def finite_outside_payloads(obj) -> bool:
+    """Every number in ``obj`` outside interchange payloads (keys exactly dims,
+    re, im) is a finite double: the rule the checker folds into its types."""
+    if isinstance(obj, dict) and obj.keys() != {"dims", "re", "im"}:
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        return all(map(finite_outside_payloads, obj))
+    return not isinstance(obj, (int, float)) or abs(obj) <= sys.float_info.max
+
+
+_ODD = [True, False, None, 0, 1, -1, 2, 3, 1.0, 2.0, 0.5, 2.5, -0.0, 1e-300, 1e308,
+        math.nan, math.inf, -math.inf, 2 ** 53 + 1, 2 ** 64 - 1, 2 ** 64, 1.8e19,
+        10 ** 400, -10 ** 400, "", "uniform", "A", "qcd-code", "toric",
+        [], [1, 1.0], [1, True], [0, 1], [0.0, 1.0], [1, 1], [math.nan], {}]
+_VALUES = st.recursive(
+    st.one_of(st.sampled_from(_ODD), st.integers(-3, 5), st.floats(), st.text(max_size=2)),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(
+        st.sampled_from(["dims", "re", "im", "n", "p", "bogus", 1]), kids, max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def _mutated(draw, value):
+    """``value`` as is, replaced, or a copy with one part mutated, dropped or added."""
+    action = draw(st.sampled_from(["keep", "replace", "replace", "part", "part"]))
+    if action == "replace":
+        return draw(_VALUES)
+    if action == "part" and isinstance(value, dict):
+        value = dict(value)
+        key = draw(st.sampled_from(sorted(value, key=repr) + ["bogus"]))
+        if key in value and draw(st.booleans()):
+            del value[key]
+        else:
+            value[key] = draw(_mutated(value.get(key)))
+    elif action == "part" and isinstance(value, list) and value:
+        value = list(value)
+        i = draw(st.integers(0, len(value)))
+        value[i:i + 1] = [draw(_mutated(value[min(i, len(value) - 1)]))]
+    return value
+
+
+@st.composite
+def mutated_configs(draw):
+    """A small config mutated at its top level (one draw in four) or in its params."""
+    config = dict(SMALL_CONFIGS[draw(st.sampled_from(sorted(SMALL_CONFIGS)))])
+    if draw(st.integers(0, 3)) == 0:
+        return draw(_mutated(config))
+    for _ in range(draw(st.integers(1, 2))):
+        params = dict(config["params"])
+        key = draw(st.sampled_from(sorted(params) + ["bogus"]))
+        params[key] = draw(st.sampled_from(_ODD) | _mutated(params.get(key)))
+        config["params"] = params
+    return config
+
+
+@settings(max_examples=600, deadline=None)
+@given(mutated_configs())
+@example(rotor_config(logical_charges=[1, 1.0]))
+@example(rotor_config(logical_charges=[1, True]))
+@example(rotor_config(q_max=4.0, w=True))
+@example(qcd_config(n=2.5))
+@example(xsec_config(g1=math.nan, lam=-math.inf))
+@example(xsec_config(g1=10 ** 400))
+@example(xsec_config(g2=-10 ** 400))
+@example({**qcd_config(), "seed": 2 ** 64})
+def test_checker_agrees_with_jsonschema(config):
+    accepted = cli._violation(config, cli.CONFIG_SCHEMA, "config") is None
+    assert accepted == jsonschema.Draft202012Validator(cli.CONFIG_SCHEMA).is_valid(config)
+    if accepted:
+        schema, params = cli.EXPERIMENTS[config["experiment"]].schema, config["params"]
+        assert (cli._violation(params, schema, "params") is None) == (
+            jsonschema.Draft202012Validator(schema).is_valid(params)
+            and finite_outside_payloads(params))
 
 
 # --- config echo: interchange payloads as dims + SHA-256 -----------------------

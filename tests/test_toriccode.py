@@ -564,8 +564,8 @@ class TestSymbolicSsr:
 
     @pytest.mark.parametrize("lat", [LAT22, LAT23, LAT32])
     def test_logical_iff_x_or_z_part_is(self, lat):
-        # the CSS split behind ssr_exact_zero_check: P is undetected iff both
-        # parts are, and then logical iff one of them is
+        # the CSS split of a Pauli into its X and Z parts: P is undetected iff
+        # both parts are, and then logical iff one of them is
         xz = loaded_errors(lat, np.random.default_rng(70 + lat.l), 150).xz
         x_part, z_part = xz.copy(), xz.copy()
         x_part[:, lat.n_edges:] = 0
@@ -578,7 +578,7 @@ class TestSymbolicSsr:
             mask, undetected & (logical_mask(lat, x_part) | logical_mask(lat, z_part)))
 
     @pytest.mark.parametrize("l,n", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
-    def test_css_split_matches_full_enumeration(self, l, n):
+    def test_certificate_matches_full_enumeration(self, l, n):
         lat = TorusLattice(l, n)
 
         def full(w):
