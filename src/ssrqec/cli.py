@@ -369,7 +369,8 @@ CONFIG_SCHEMA = _object_schema({
     "output_dir": {"type": "string"},
     "params": {"type": "object"},
 }, ("experiment", "params"))
-_TYPES = {"string": str, "array": list, "object": dict}  # the rest are numbers
+_TYPES = {"string": str, "array": list, "object": dict, "integer": int,
+          "number": (int, float)}
 
 
 def config_schema() -> dict:
@@ -380,14 +381,14 @@ def config_schema() -> dict:
 def _violation(value, schema: dict, where: str) -> Optional[str]:
     """How ``value`` (named ``where``) breaks ``schema``, or None: Draft 2020-12 for
     the keywords used here, in schemas that each name a type.  Numbers must also
-    be finite doubles; ``hilbert`` checks those in interchange payloads."""
+    be finite doubles, and integers Python ints, so 3.0 is no integer here;
+    ``hilbert`` checks the numbers in interchange payloads."""
     kind, get, big = schema["type"], schema.get, sys.float_info.max
-    if isinstance(value, bool) or not isinstance(value, _TYPES.get(kind, (int, float))):
+    if isinstance(value, bool) or not isinstance(value, _TYPES[kind]):
         return f"{where} is not of type {kind!r}"
     if value not in get("enum", (value,)) or kind in ("integer", "number") and not (
             get("minimum", -big) <= value <= get("maximum", big)
-            and get("exclusiveMinimum", -math.inf) < value < get("exclusiveMaximum", math.inf)
-            and (kind == "number" or value % 1 == 0)):
+            and get("exclusiveMinimum", -math.inf) < value < get("exclusiveMaximum", math.inf)):
         return f"{where} = {value!r} is outside {schema}"
     for i, item in enumerate(value if "items" in schema else ()):
         if error := _violation(item, schema["items"], f"{where}[{i}]"):

@@ -49,10 +49,6 @@ class ProductSpace:
     def dim(self) -> int:
         return int(np.prod(self.factor_dims))
 
-    @property
-    def n_factors(self) -> int:
-        return len(self.factor_dims)
-
     def tensor(self, other: "ProductSpace") -> "ProductSpace":
         labels = None
         if self.labels is not None and other.labels is not None:

@@ -77,7 +77,6 @@ def sm_flip_suppression(energy: float, lambda_qcd: float = DEFAULTS.lambda_qcd,
 
 
 SPECIES = ("phi1", "phi2")
-LOGICAL = ("p", "n")
 
 
 @dataclass(frozen=True)

@@ -61,9 +61,6 @@ class FourMomentum:
     def mass2(self) -> float:
         return self.dot(self)
 
-    def three_norm(self) -> float:
-        return math.sqrt(self.px ** 2 + self.py ** 2 + self.pz ** 2)
-
     def __add__(self, other: "FourMomentum") -> "FourMomentum":
         return FourMomentum(self.e + other.e, self.px + other.px,
                             self.py + other.py, self.pz + other.pz)

@@ -1,7 +1,7 @@
 """Z_N toric code on a small torus: sectors, Wilson loops, exact KL checks.
 
-Qudit Paulis are kept symbolic (X/Z power vectors over edges plus a phase
-exponent of e^{i pi / N}), one at a time as ``QuditPauli`` or as rows of a
+Qudit Paulis have one form: an int row of X and Z powers over the edges
+plus a phase exponent of e^{i pi / N}, and a set of them is the rows of a
 ``PauliArray``.  Commutation phases, products and logical classes are
 answered by mod-N arithmetic on int arrays, so the KL check
 ``kl_check_toric`` builds no state vector and no matrix of pair elements.
@@ -30,11 +30,13 @@ y-winding magnetic (electric) loop.  Then the x-winding electric loop
 acts as w^a and the x-winding magnetic loop as w^b, with w = e^{2 pi i / N}.
 
 The dense state-vector code (``ground_space``, ``sector_basis``,
-``apply_pauli``, ``kl_check_paulis``) builds these states explicitly and
-stays as the test oracle for small lattices (dimension N^(2 l^2) <=
-``DESK_GUARD_DIM``).
+``apply_pauli``, ``kl_check_paulis``) applies the same rows to explicit
+states and stays as the test oracle for small lattices (dimension
+N^(2 l^2) <= ``DESK_GUARD_DIM``); ``sector_basis`` checks the basis that
+``ground_space`` builds in closed form instead of diagonalising.
 
-Edge orientation convention: horizontal edges point +x, vertical +y.
+Edge orientation convention: horizontal edges point +x, vertical +y; edge
+(h, x, y) has index y l + x and edge (v, x, y) index l^2 + y l + x.
 Stars put X on outgoing and X^{-1} on incoming edges; plaquettes put
 Z^{+/-1} counterclockwise.  For N = 2 the standard toric code is
 recovered.
@@ -44,7 +46,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
@@ -54,7 +55,6 @@ import numpy as np
 from . import klcore
 from ._rowkeys import class_ids
 from .errors import GuardExceededError
-from .hilbert import ProductSpace
 from .klcore import KLReport
 
 DESK_GUARD_DIM = 2 ** 20
@@ -89,96 +89,24 @@ class TorusLattice:
     def dim(self) -> int:
         return self.n ** self.n_edges
 
-    def edge(self, direction: str, x: int, y: int) -> int:
-        """Edge index; direction 'h' (toward +x) or 'v' (toward +y)."""
-        x %= self.l
-        y %= self.l
-        base = 0 if direction == "h" else self.l * self.l
-        if direction not in ("h", "v"):
-            raise ValueError("direction must be 'h' or 'v'")
-        return base + y * self.l + x
-
-    def space(self) -> ProductSpace:
-        return ProductSpace((self.n,) * self.n_edges)
-
-
-@dataclass(frozen=True)
-class QuditPauli:
-    """phase_factor * prod_e X_e^{x_e} Z_e^{z_e} with X|j> = |j+1>, Z|j> = w^j |j>.
-
-    ``phase`` is the exponent of e^{i pi / N}, kept mod 2N so products of
-    w = e^{2 pi i / N} factors stay exact.
-    """
-
-    x_powers: tuple[int, ...]
-    z_powers: tuple[int, ...]
-    n: int
-    phase: int = 0
-
-    def __post_init__(self):
-        nn = self.n
-        object.__setattr__(self, "x_powers",
-                           tuple(int(p) % nn for p in self.x_powers))
-        object.__setattr__(self, "z_powers",
-                           tuple(int(p) % nn for p in self.z_powers))
-        object.__setattr__(self, "phase", int(self.phase) % (2 * nn))
-
-    @property
-    def weight(self) -> int:
-        return sum(1 for x, z in zip(self.x_powers, self.z_powers)
-                   if x != 0 or z != 0)
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(e for e, (x, z) in enumerate(zip(self.x_powers, self.z_powers))
-                     if x != 0 or z != 0)
-
-    def is_identity_up_to_phase(self) -> bool:
-        return self.weight == 0
-
-
-def pauli_mul(a: QuditPauli, b: QuditPauli) -> QuditPauli:
-    """a @ b in the canonical X-then-Z ordering; exact phase bookkeeping."""
-    if a.n != b.n or len(a.x_powers) != len(b.x_powers):
-        raise ValueError("pauli operands are incompatible")
-    n = a.n
-    # moving Z^{z_a} through X^{x_b} costs w^{z_a . x_b}
-    cross = sum(za * xb for za, xb in zip(a.z_powers, b.x_powers))
-    x = tuple((xa + xb) % n for xa, xb in zip(a.x_powers, b.x_powers))
-    z = tuple((za + zb) % n for za, zb in zip(a.z_powers, b.z_powers))
-    return QuditPauli(x, z, n, a.phase + b.phase + 2 * cross)
-
 
 # ---------------------------------------------------------------------------
 # Pauli sets as int arrays
 
 
 @dataclass(frozen=True, eq=False)
-class PauliArray(Sequence):
+class PauliArray:
     """E qudit Paulis as rows of ``xz`` = (x powers | z powers), (E, 2 n_edges).
 
-    ``phase`` holds the E phase exponents of e^{i pi / N}.  Indexing or
-    iterating yields ``QuditPauli`` objects; bulk algebra works on the
-    arrays directly.
+    ``phase`` holds the E phase exponents of e^{i pi / N}.
     """
 
     xz: np.ndarray
     phase: np.ndarray
     n: int
 
-    @classmethod
-    def of(cls, paulis: Sequence[QuditPauli], n: int) -> "PauliArray":
-        xz = np.array([p.x_powers + p.z_powers for p in paulis], dtype=np.int64)
-        phase = np.array([p.phase for p in paulis], dtype=np.int64)
-        return cls(xz.reshape(len(paulis), -1), phase, n)
-
     def __len__(self) -> int:
         return self.xz.shape[0]
-
-    def __getitem__(self, i: int) -> QuditPauli:
-        row = self.xz[i]
-        half = row.size // 2
-        return QuditPauli(tuple(row[:half]), tuple(row[half:]), self.n,
-                          int(self.phase[i]))
 
 
 def commutation_exponents(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -218,29 +146,31 @@ def _digits(n: int, n_edges: int) -> np.ndarray:
     return out
 
 
-def pauli_permutation(lat: TorusLattice, p: QuditPauli
+def pauli_permutation(lat: TorusLattice, xz: np.ndarray, phase: int
                       ) -> tuple[np.ndarray, np.ndarray]:
-    """(target indices, phases): P|j> = phases[j] |targets[j]>."""
-    n, n_edges = lat.n, lat.n_edges
-    digits = _digits(n, n_edges)
-    d = lat.dim
-    targets = np.arange(d, dtype=np.int64)
-    expo = np.zeros(d, dtype=np.int64)
-    for e in p.support():
-        w_e = n ** (n_edges - 1 - e)
-        xe, ze = p.x_powers[e], p.z_powers[e]
+    """(target indices, phases): P|j> = phases[j] |targets[j]> for the Pauli
+    e^{i pi phase / N} X^x Z^z with row ``xz`` = (x | z)."""
+    n, m = lat.n, lat.n_edges
+    digits = _digits(n, m)
+    xz = np.asarray(xz) % n
+    targets = np.arange(lat.dim, dtype=np.int64)
+    expo = np.zeros(lat.dim, dtype=np.int64)
+    for e in np.flatnonzero(xz[:m] | xz[m:]):
+        w_e = n ** (m - 1 - e)
+        xe, ze = xz[e], xz[m + e]
         de = digits[e].astype(np.int64)
         if xe:
             targets += (((de + xe) % n) - de) * w_e
         if ze:
             expo += ze * de
     omega = np.exp(2j * np.pi * (expo % n) / n)
-    global_phase = np.exp(1j * np.pi * p.phase / n)
+    global_phase = np.exp(1j * np.pi * (int(phase) % (2 * n)) / n)
     return targets, global_phase * omega
 
 
-def apply_pauli(lat: TorusLattice, p: QuditPauli, vec: np.ndarray) -> np.ndarray:
-    targets, phases = pauli_permutation(lat, p)
+def apply_pauli(lat: TorusLattice, xz: np.ndarray, phase: int,
+                vec: np.ndarray) -> np.ndarray:
+    targets, phases = pauli_permutation(lat, xz, phase)
     out = np.zeros_like(vec, dtype=np.complex128)
     out[targets] = phases.reshape(phases.shape + (1,) * (vec.ndim - 1)) * vec
     return out
@@ -275,12 +205,6 @@ def _stabilizer_rows(lat: TorusLattice) -> np.ndarray:
     return rows.reshape(2 * l * l, 2 * m)
 
 
-def build_stabilizers(lat: TorusLattice) -> list[QuditPauli]:
-    """l^2 star operators followed by l^2 plaquette operators."""
-    rows = _stabilizer_rows(lat)
-    return list(PauliArray(rows, np.zeros(len(rows), dtype=np.int64), lat.n))
-
-
 @dataclass(frozen=True)
 class GroundSpace:
     """Orthonormal basis of the joint +1 eigenspace of all stabilizers."""
@@ -300,23 +224,21 @@ def ground_space(lat: TorusLattice) -> GroundSpace:
     |0, 0> sums |x> uniformly over the orbit of |0...0> under the group
     generated by l^2 - 1 independent stars and the x-winding magnetic loop
     (the X-stabilizer cosets of M_x^b |0...0>); the other states follow by
-    applying the y-winding loops, as in the module docstring.
+    applying the y-winding loops, as in the module docstring.  M_y^a E_y^-b
+    is X-only times Z-only, so its row is the sum of theirs and its phase 0.
     """
-    if lat.dim > DESK_GUARD_DIM:
-        raise GuardExceededError(
-            f"dimension {lat.dim} exceeds desk-scale guard {DESK_GUARD_DIM}")
-    n, l2 = lat.n, lat.l * lat.l
-    gens = PauliArray.of(build_stabilizers(lat)[:l2 - 1]
-                         + [wilson_loop(lat, "x", 1, "magnetic")], n).xz
-    gens = gens[:, :lat.n_edges]
+    n, m, l2 = lat.n, lat.n_edges, lat.l * lat.l
+    _digits(n, m)               # the DESK_GUARD_DIM refusal, before any state
+    gens = np.vstack([_stabilizer_rows(lat)[:l2 - 1],
+                      wilson_loop(lat, "x", 1, "magnetic")])[:, :m]
     coeffs = np.indices((n,) * l2).reshape(l2, -1).T
     orbit = (coeffs @ gens) % n                         # N^(l^2) distinct x vectors
     vacuum = np.zeros(lat.dim, dtype=np.complex128)
-    vacuum[orbit @ n ** np.arange(lat.n_edges - 1, -1, -1)] = n ** (-l2 / 2)
+    vacuum[orbit @ n ** np.arange(m - 1, -1, -1)] = n ** (-l2 / 2)
     labels = sector_labels(lat)
     basis = np.column_stack([
-        apply_pauli(lat, pauli_mul(wilson_loop(lat, "y", a, "magnetic"),
-                                   wilson_loop(lat, "y", -b, "electric")), vacuum)
+        apply_pauli(lat, wilson_loop(lat, "y", a, "magnetic")
+                    + wilson_loop(lat, "y", -b, "electric"), 0, vacuum)
         for a, b in labels])
     return GroundSpace(lat, basis, labels)
 
@@ -324,39 +246,24 @@ def ground_space(lat: TorusLattice) -> GroundSpace:
 # ---------------------------------------------------------------------------
 # Wilson loops and the sector basis
 
+# (cycle, kind) -> (row of ``_logical_probes``, the sign of its power)
+_LOOPS = {("y", "magnetic"): (0, 1), ("x", "magnetic"): (1, 1),
+          ("x", "electric"): (2, -1), ("y", "electric"): (3, -1)}
+
 
 def wilson_loop(lat: TorusLattice, cycle: str, charge: int,
-                kind: str) -> QuditPauli:
-    """Z^a (electric) or X^a (magnetic) along a representative cycle.
+                kind: str) -> np.ndarray:
+    """xz row of Z^charge (electric) or X^charge (magnetic) along a
+    representative cycle, phase 0: charge times a logical probe row, mod N.
 
     Electric loops follow direct-lattice cycles; magnetic loops follow
     dual-lattice cycles winding in the named direction (crossing vertical
     edges for an x-winding, horizontal edges for a y-winding).
     """
-    a = charge % lat.n
-    xs = [0] * lat.n_edges
-    zs = [0] * lat.n_edges
-    if kind == "electric":
-        if cycle == "x":
-            for x in range(lat.l):
-                zs[lat.edge("h", x, 0)] = a
-        elif cycle == "y":
-            for y in range(lat.l):
-                zs[lat.edge("v", 0, y)] = a
-        else:
-            raise ValueError("cycle must be 'x' or 'y'")
-    elif kind == "magnetic":
-        if cycle == "x":
-            for x in range(lat.l):
-                xs[lat.edge("v", x, 0)] = a
-        elif cycle == "y":
-            for y in range(lat.l):
-                xs[lat.edge("h", 0, y)] = a
-        else:
-            raise ValueError("cycle must be 'x' or 'y'")
-    else:
-        raise ValueError("kind must be 'electric' or 'magnetic'")
-    return QuditPauli(tuple(xs), tuple(zs), lat.n)
+    if (cycle, kind) not in _LOOPS:
+        raise ValueError("cycle must be 'x' or 'y' and kind 'electric' or 'magnetic'")
+    probe, sign = _LOOPS[cycle, kind]
+    return charge * sign * _logical_probes(lat)[probe] % lat.n
 
 
 def _logical_probes(lat: TorusLattice) -> np.ndarray:
@@ -364,7 +271,7 @@ def _logical_probes(lat: TorusLattice) -> np.ndarray:
     logical powers (gamma, delta, alpha, beta): its X part is a stabilizer
     times M_y^alpha M_x^beta and its Z part a stabilizer times
     E_x^gamma E_y^delta, for the charge-1 loops M_y, M_x, E_x, E_y.  The
-    rows are ``wilson_loop``'s M_y, M_x, E_x^-1 and E_y^-1.
+    rows are M_y, M_x, E_x^-1 and E_y^-1, the loops ``wilson_loop`` scales.
     """
     return _probe_translates(lat)[:, 0]
 
@@ -387,51 +294,29 @@ def sector_labels(lat: TorusLattice) -> tuple[tuple[int, int], ...]:
     return tuple((a, b) for a in range(lat.n) for b in range(lat.n))
 
 
-def _root_label(value: complex, n: int) -> int:
-    ang = np.angle(value) % (2 * np.pi)
-    a = int(round(ang * n / (2 * np.pi))) % n
-    if abs(value - np.exp(2j * np.pi * a / n)) > 1e-6:
-        raise RuntimeError(f"eigenvalue {value} is not close to an N-th root of unity")
-    return a
-
-
 def sector_basis(gs: GroundSpace) -> GroundSpace:
-    """Rotate to the joint eigenbasis of the commuting x-cycle Wilson loops.
+    """``gs``, once checked to be the joint eigenbasis of the x-cycle loops.
 
     The electric and magnetic loops winding in x act within the ground
     space and commute (disjoint supports); their joint eigenvalues
-    (w^a, w^b) label the N^2 sectors exactly once.  The phases of the
-    returned states are whatever the eigensolver returns.
+    (w^a, w^b) label the N^2 sectors exactly once.  ``ground_space`` builds
+    that basis in closed form, so nothing is diagonalised: the columns must
+    be orthonormal, labelled by ``sector_labels``, and column a N + b must
+    be the (w^a, w^b) eigenvector.  Any other basis is an invariant breach
+    and raises RuntimeError.
     """
-    lat = gs.lattice
+    lat, b = gs.lattice, gs.basis
     n = lat.n
-    w_e = wilson_loop(lat, "x", 1, "electric")
-    w_m = wilson_loop(lat, "x", 1, "magnetic")
-    b = gs.basis
-    we_r = b.conj().T @ apply_pauli(lat, w_e, b)
-    wm_r = b.conj().T @ apply_pauli(lat, w_m, b)
-    vals, vecs = np.linalg.eig(we_r)
-    labels_a = np.array([_root_label(v, n) for v in vals])
-    columns = []
-    labels = []
-    for a in range(n):
-        sel = np.where(labels_a == a)[0]
-        if sel.size == 0:
-            continue
-        q, _ = np.linalg.qr(vecs[:, sel])
-        sub = q.conj().T @ wm_r @ q
-        vals2, vecs2 = np.linalg.eig(sub)
-        for j in range(sel.size):
-            bb = _root_label(vals2[j], n)
-            col = q @ vecs2[:, j]
-            columns.append(col / np.linalg.norm(col))
-            labels.append((a, bb))
-    if sorted(labels) != sorted((a, bb) for a in range(n) for bb in range(n)):
-        raise RuntimeError(f"sector labels {labels} do not exhaust Z_N x Z_N")
-    order = np.argsort([a * n + bb for (a, bb) in labels])
-    new_basis = np.column_stack([b @ columns[i] for i in order])
-    new_labels = tuple(labels[i] for i in order)
-    return GroundSpace(lat, new_basis, new_labels)
+    if gs.sector_labels != sector_labels(lat) or gs.dimension != n * n \
+            or not np.allclose(b.conj().T @ b, np.eye(n * n), rtol=0, atol=1e-9):
+        raise RuntimeError("the basis is not N^2 orthonormal columns labelled a N + b")
+    charges = np.divmod(np.arange(n * n), n)
+    for kind, charge in zip(("electric", "magnetic"), charges):
+        loop = apply_pauli(lat, wilson_loop(lat, "x", 1, kind), 0, b)
+        if not np.allclose(loop, np.exp(2j * np.pi * charge / n) * b, rtol=0, atol=1e-9):
+            raise RuntimeError(f"a column is not an eigenvector of the x-cycle {kind} "
+                               f"loop with the eigenvalue its label names")
+    return gs
 
 
 # ---------------------------------------------------------------------------
@@ -475,22 +360,20 @@ def _weight_chunks(lat: TorusLattice, weight: int,
         yield rows.reshape(-1, 2 * m)
 
 
-def _enumeration_refusal(lat: TorusLattice, max_weight: int,
-                         cap: int) -> Optional[str]:
+def _enumeration_refusal(lat: TorusLattice, max_weight: int) -> Optional[str]:
     if max_weight > MAX_ENUM_WEIGHT:
         return f"error enumeration capped at weight {MAX_ENUM_WEIGHT}"
     count = error_count(lat, max_weight)
-    if count > cap:
-        return f"error count {count} exceeds cap {cap}"
+    if count > DEFAULT_ERROR_CAP:
+        return f"error count {count} exceeds cap {DEFAULT_ERROR_CAP}"
     return None
 
 
-def enumerate_pauli_errors(lat: TorusLattice, max_weight: int,
-                           cap: int = DEFAULT_ERROR_CAP) -> PauliArray:
+def enumerate_pauli_errors(lat: TorusLattice, max_weight: int) -> PauliArray:
     """Identity plus all qudit Paulis of weight <= max_weight, phase 0."""
     if max_weight < 1:
         raise ValueError("max_weight must be >= 1")
-    refusal = _enumeration_refusal(lat, max_weight, cap)
+    refusal = _enumeration_refusal(lat, max_weight)
     if refusal:
         raise GuardExceededError(refusal)
     count = error_count(lat, max_weight)
@@ -504,13 +387,13 @@ def enumerate_pauli_errors(lat: TorusLattice, max_weight: int,
 # KL checks
 
 
-def kl_check_paulis(gs: GroundSpace, errors: Sequence[QuditPauli],
+def kl_check_paulis(gs: GroundSpace, errors: PauliArray,
                     tol: float = 1e-9) -> KLReport:
-    """Dense KL check of a symbolic error set against a ground-space basis."""
+    """Dense KL check of a Pauli error set against a ground-space basis."""
     lat, b = gs.lattice, gs.basis
     applied = np.empty((len(errors),) + b.shape, dtype=np.complex128)
-    for a, p in enumerate(errors):
-        applied[a] = apply_pauli(lat, p, b)
+    for a, (xz, phase) in enumerate(zip(errors.xz, errors.phase)):
+        applied[a] = apply_pauli(lat, xz, phase, b)
     return klcore.kl_check_from_applied(applied, tol)
 
 
@@ -608,10 +491,9 @@ def kl_check_bytes(lat: TorusLattice, max_weight: int) -> int:
             + min(count ** 2, KL_PAIR_CHUNK) * (32 * lat.n_edges + 256))
 
 
-def kl_guard(lat: TorusLattice, max_weight: int,
-             cap: int = DEFAULT_ERROR_CAP) -> Optional[str]:
+def kl_guard(lat: TorusLattice, max_weight: int) -> Optional[str]:
     """Why ``kl_check_toric`` would refuse this size, or None if it fits."""
-    refusal = _enumeration_refusal(lat, max_weight, cap)
+    refusal = _enumeration_refusal(lat, max_weight)
     if refusal:
         return refusal
     need = kl_check_bytes(lat, max_weight)
@@ -621,13 +503,13 @@ def kl_guard(lat: TorusLattice, max_weight: int,
     return None
 
 
-def kl_check_toric(lat: TorusLattice, max_weight: int, tol: float = 1e-9,
-                   cap: int = DEFAULT_ERROR_CAP) -> SyndromeKLReport:
+def kl_check_toric(lat: TorusLattice, max_weight: int,
+                   tol: float = 1e-9) -> SyndromeKLReport:
     """Exact KL check of all Paulis of weight <= max_weight on the sector basis."""
-    refusal = kl_guard(lat, max_weight, cap)
+    refusal = kl_guard(lat, max_weight)
     if refusal:
         raise GuardExceededError(refusal)
-    return kl_check_errors(lat, enumerate_pauli_errors(lat, max_weight, cap), tol)
+    return kl_check_errors(lat, enumerate_pauli_errors(lat, max_weight), tol)
 
 
 # ---------------------------------------------------------------------------

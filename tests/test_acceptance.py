@@ -32,7 +32,8 @@ from ssrqec.toriccode import (TorusLattice, apply_pauli,
 
 from helpers import from_dense, phase_flip
 from test_scatter import trace_amp2
-from toric_oracles import pauli_identity, ssr_certificate
+from toric_oracles import (as_pauli, pauli_array, pauli_identity, pauli_list,
+                           ssr_certificate)
 
 INV_SQRT2 = 1 / math.sqrt(2)
 
@@ -217,16 +218,17 @@ def test_criterion_8_toric_sectors():
     assert kl_check_toric(lat, 1, tol=1e-9).satisfied
     sb = sector_basis(ground_space(TorusLattice(2, 2)))
     loop = wilson_loop(TorusLattice(2, 2), "x", 1, "magnetic")
-    bad = kl_check_paulis(sb, [pauli_identity(8, 2), loop])
+    bad = kl_check_paulis(sb, pauli_array([pauli_identity(8, 2), as_pauli(loop, 2)], 2))
     assert not bad.satisfied
     # exact-zero SSR statement: symbolic certificate plus numeric cross-check
     assert ssr_exact_zero_check(lat)
     sb22 = sector_basis(ground_space(TorusLattice(2, 2)))
-    for p in enumerate_pauli_errors(TorusLattice(2, 2), 1):
+    for p in pauli_list(enumerate_pauli_errors(TorusLattice(2, 2), 1)):
         if p.is_identity_up_to_phase():
             continue
         assert ssr_certificate(TorusLattice(2, 2), p) != "logical"
-        m = sb22.basis.conj().T @ apply_pauli(TorusLattice(2, 2), p, sb22.basis)
+        m = sb22.basis.conj().T @ apply_pauli(TorusLattice(2, 2), p.xz, p.phase,
+                                              sb22.basis)
         assert np.max(np.abs(m - np.diag(np.diag(m)))) <= 1e-12
     report(8, "sector counts, weight-1 KL, loop violation, exact zeros",
            time.perf_counter() - start, 300.0)

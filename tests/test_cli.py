@@ -99,6 +99,38 @@ REFUSED_BEFORE_RUN = {
 }
 
 
+# Each integer field, the seed included, as an integral float in a config
+# that is valid with an int there: JSON "3.0" reads as a float, which no
+# integer field takes.
+def _toric(**params):
+    return {"experiment": "toric", "params": {"n": 2, "l": 2, **params}}
+
+
+INTEGER_AS_FLOAT = {
+    "seed": {**qcd_config(), "seed": 7.0},
+    "rotor q_max": rotor_config(q_max=4.0),
+    "rotor w": rotor_config(w=1.0),
+    "rotor logical_charges": rotor_config(logical_charges=[0, 1.0]),
+    "rotor error_charges": rotor_config(error_charges=[1.0]),
+    "qcd-code n": qcd_config(n=3.0),
+    "qcd-code trials": qcd_config(trials=2000.0),
+    "qcd-code workers": qcd_config(workers=1.0),
+    "xsec steps": xsec_config(steps=3.0),
+    "xsec n_theta": xsec_config(n_theta=16.0),
+    "toric n": _toric(n=2.0),
+    "toric l": _toric(l=2.0),
+    "toric max_weight": _toric(max_weight=1.0),
+}
+
+
+def integral_floats_as_ints(obj):
+    if isinstance(obj, dict):
+        return {k: integral_floats_as_ints(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [integral_floats_as_ints(v) for v in obj]
+    return int(obj) if isinstance(obj, float) and obj.is_integer() else obj
+
+
 # Non-finite numbers and an int beyond the double range, as a Python caller
 # can pass them; the file reader of main refuses the first two before planning.
 _TORIC_TOL_INF = {"experiment": "toric", "params": {"n": 2, "l": 2, "tol": math.inf}}
@@ -439,6 +471,23 @@ class TestMainExitCodes:
                          str(tmp_path / "o")]) == cli.EXIT_SCHEMA
         assert not (tmp_path / "o").exists()
 
+    def test_integer_fields_all_listed(self):
+        fields = {"seed"} | {
+            f"{name} {key}" for name, e in cli.EXPERIMENTS.items()
+            for key, sub in e.schema["properties"].items()
+            if "integer" in (sub["type"], sub.get("items", {}).get("type"))}
+        assert set(INTEGER_AS_FLOAT) == fields
+
+    @pytest.mark.parametrize("name", sorted(INTEGER_AS_FLOAT))
+    def test_integral_float_refused_for_integer_field(self, tmp_path, capsys, name):
+        config = INTEGER_AS_FLOAT[name]
+        assert cli.validate(integral_floats_as_ints(config)) == []
+        path = write_config(tmp_path, config)
+        assert cli.main(["validate", str(path)]) == cli.EXIT_SCHEMA
+        assert cli.main(["run", str(path), "--output-dir",
+                         str(tmp_path / "o")]) == cli.EXIT_SCHEMA
+        assert not (tmp_path / "o").exists()
+
     def test_largest_seed_runs(self, tmp_path, capsys):
         cfg = qcd_config(trials=500)
         cfg["seed"] = 2 ** 64 - 1
@@ -681,6 +730,19 @@ def finite_outside_payloads(obj) -> bool:
     return not isinstance(obj, (int, float)) or abs(obj) <= sys.float_info.max
 
 
+def ints_where_integer(value, schema: dict) -> bool:
+    """No float where ``schema`` asks for an integer: the checker's rule on
+    top of Draft 2020-12, which counts 1.0 as an integer."""
+    if schema.get("type") == "integer":
+        return not isinstance(value, float)
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        return all(ints_where_integer(v, props[k]) for k, v in value.items() if k in props)
+    if isinstance(value, list) and "items" in schema:
+        return all(ints_where_integer(v, schema["items"]) for v in value)
+    return True
+
+
 _ODD = [True, False, None, 0, 1, -1, 2, 3, 1.0, 2.0, 0.5, 2.5, -0.0, 1e-300, 1e308,
         math.nan, math.inf, -math.inf, 2 ** 53 + 1, 2 ** 64 - 1, 2 ** 64, 1.8e19,
         10 ** 400, -10 ** 400, "", "uniform", "A", "qcd-code", "toric",
@@ -736,14 +798,18 @@ def mutated_configs(draw):
 @example(xsec_config(g1=10 ** 400))
 @example(xsec_config(g2=-10 ** 400))
 @example({**qcd_config(), "seed": 2 ** 64})
+@example({**qcd_config(), "seed": 7.0})
+@example(qcd_config(n=3.0))
+@example(rotor_config(error_charges=[1, 2.0]))
 def test_checker_agrees_with_jsonschema(config):
     accepted = cli._violation(config, cli.CONFIG_SCHEMA, "config") is None
-    assert accepted == jsonschema.Draft202012Validator(cli.CONFIG_SCHEMA).is_valid(config)
+    assert accepted == (jsonschema.Draft202012Validator(cli.CONFIG_SCHEMA).is_valid(config)
+                        and ints_where_integer(config, cli.CONFIG_SCHEMA))
     if accepted:
         schema, params = cli.EXPERIMENTS[config["experiment"]].schema, config["params"]
         assert (cli._violation(params, schema, "params") is None) == (
             jsonschema.Draft202012Validator(schema).is_valid(params)
-            and finite_outside_payloads(params))
+            and finite_outside_payloads(params) and ints_where_integer(params, schema))
 
 
 # --- config echo: interchange payloads as dims + SHA-256 -----------------------

@@ -12,22 +12,24 @@ from ssrqec import toriccode
 from ssrqec._rowkeys import class_ids
 from ssrqec.klcore import (MAX_RECORDED_VIOLATIONS, CodeSpace, ErrorSet,
                            ssr_sector_check)
-from ssrqec.hilbert import Operator, StateVector
-from ssrqec.toriccode import (GuardExceededError, PauliArray, QuditPauli,
+from ssrqec.hilbert import Operator, ProductSpace, StateVector
+from ssrqec.toriccode import (GroundSpace, GuardExceededError, PauliArray,
                               TorusLattice, _logical_probes,
                               _stabilizer_rows, _weight_chunks, apply_pauli,
-                              build_stabilizers, commutation_exponents,
+                              commutation_exponents,
                               enumerate_pauli_errors, error_count,
                               ground_space, kl_check_bytes, kl_check_errors,
                               kl_check_paulis, kl_check_toric, kl_guard,
-                              pair_phases, pauli_mul, sector_basis,
+                              pair_phases, sector_basis,
                               sector_labels, ssr_exact_zero_check,
                               wilson_loop)
-from toric_oracles import (_rank_mod_p, commutation_exponent, dense_c,
-                           kl_elements, logical_mask, oracle_report,
-                           pauli_adjoint, pauli_dense, pauli_identity,
+from toric_oracles import (QuditPauli, _rank_mod_p, as_pauli,
+                           commutation_exponent, dense_c, kl_elements,
+                           logical_mask, loop_by_edge, oracle_report,
+                           pauli_adjoint, pauli_array, pauli_dense,
+                           pauli_identity, pauli_list, pauli_mul,
                            single_qudit_pauli, ssr_certificate,
-                           stabilizers_by_vertex)
+                           stabilizer_paulis, stabilizers_by_vertex)
 
 LAT22 = TorusLattice(2, 2)   # l = 2, N = 2 (dim 2^8)
 LAT23 = TorusLattice(2, 3)   # l = 2, N = 3 (dim 3^8)
@@ -51,9 +53,11 @@ class TestPauliAlgebra:
         for _ in range(10):
             a, b = random_pauli(lat, rng), random_pauli(lat, rng)
             v = random_vec(lat, rng)
+            ab = pauli_mul(a, b)
             np.testing.assert_allclose(
-                apply_pauli(lat, pauli_mul(a, b), v),
-                apply_pauli(lat, a, apply_pauli(lat, b, v)), atol=1e-10)
+                apply_pauli(lat, ab.xz, ab.phase, v),
+                apply_pauli(lat, a.xz, a.phase, apply_pauli(lat, b.xz, b.phase, v)),
+                atol=1e-10)
 
     @pytest.mark.parametrize("lat", [LAT22, LAT23])
     def test_adjoint_reverses_inner_product(self, lat):
@@ -61,8 +65,9 @@ class TestPauliAlgebra:
         for _ in range(10):
             a = random_pauli(lat, rng)
             u, v = random_vec(lat, rng), random_vec(lat, rng)
-            lhs = np.vdot(u, apply_pauli(lat, a, v))
-            rhs = np.vdot(apply_pauli(lat, pauli_adjoint(a), u), v)
+            lhs = np.vdot(u, apply_pauli(lat, a.xz, a.phase, v))
+            a_dag = pauli_adjoint(a)
+            rhs = np.vdot(apply_pauli(lat, a_dag.xz, a_dag.phase, u), v)
             assert lhs == pytest.approx(rhs, abs=1e-8)
 
     @pytest.mark.parametrize("lat", [LAT22, LAT23])
@@ -74,15 +79,15 @@ class TestPauliAlgebra:
             b = random_pauli(lat, rng, with_phase=False)
             c = commutation_exponent(a, b)
             v = random_vec(lat, rng)
-            ab = apply_pauli(lat, a, apply_pauli(lat, b, v))
-            ba = apply_pauli(lat, b, apply_pauli(lat, a, v))
+            ab = apply_pauli(lat, a.xz, a.phase, apply_pauli(lat, b.xz, b.phase, v))
+            ba = apply_pauli(lat, b.xz, b.phase, apply_pauli(lat, a.xz, a.phase, v))
             np.testing.assert_allclose(ab, omega ** c * ba, atol=1e-9)
 
     def test_dense_matches_apply_small(self):
         rng = np.random.default_rng(5)
         p = random_pauli(LAT22, rng)
         v = random_vec(LAT22, rng)
-        np.testing.assert_allclose(apply_pauli(LAT22, p, v),
+        np.testing.assert_allclose(apply_pauli(LAT22, p.xz, p.phase, v),
                                    pauli_dense(LAT22, p) @ v, atol=1e-11)
 
     def test_weight_counts_support(self):
@@ -94,7 +99,7 @@ class TestPauliAlgebra:
 class TestStabilizers:
     @pytest.mark.parametrize("lat", [LAT22, LAT23, LAT32])
     def test_pairwise_commuting(self, lat):
-        stabs = build_stabilizers(lat)
+        stabs = stabilizer_paulis(lat)
         assert len(stabs) == 2 * lat.l ** 2
         for a in stabs:
             for b in stabs:
@@ -103,7 +108,7 @@ class TestStabilizers:
     @pytest.mark.parametrize("lat", [LAT22, LAT23])
     def test_global_products_are_identity(self, lat):
         half = lat.l ** 2
-        stabs = build_stabilizers(lat)
+        stabs = stabilizer_paulis(lat)
         for group in (stabs[:half], stabs[half:]):
             acc = pauli_identity(lat.n_edges, lat.n)
             for s in group:
@@ -112,7 +117,7 @@ class TestStabilizers:
             assert acc.phase == 0
 
     def test_symplectic_rank_n2_l2(self):
-        stabs = build_stabilizers(LAT22)
+        stabs = stabilizer_paulis(LAT22)
         rows = np.array([list(s.x_powers) + list(s.z_powers) for s in stabs])
         assert _rank_mod_p(rows, 2) == 6
 
@@ -122,8 +127,8 @@ class TestStabilizers:
             lat = TorusLattice(l, n)
             oracle = stabilizers_by_vertex(lat)
             np.testing.assert_array_equal(_stabilizer_rows(lat),
-                                          PauliArray.of(oracle, n).xz)
-            assert build_stabilizers(lat) == oracle
+                                          pauli_array(oracle, n).xz)
+            assert stabilizer_paulis(lat) == oracle
 
 
 class TestGroundSpace:
@@ -135,8 +140,8 @@ class TestGroundSpace:
         gs = ground_space(LAT22)
         b = gs.basis
         np.testing.assert_allclose(b.conj().T @ b, np.eye(4), atol=1e-9)
-        for s in build_stabilizers(LAT22):
-            np.testing.assert_allclose(apply_pauli(LAT22, s, b), b, atol=1e-9)
+        for s in stabilizer_paulis(LAT22):
+            np.testing.assert_allclose(apply_pauli(LAT22, s.xz, 0, b), b, atol=1e-9)
 
     def test_guard_on_oversized_lattice(self):
         with pytest.raises(GuardExceededError):
@@ -145,26 +150,27 @@ class TestGroundSpace:
 
 class TestWilsonLoops:
     def test_charge_zero_is_identity(self):
-        assert wilson_loop(LAT22, "x", 0, "electric").is_identity_up_to_phase()
+        assert as_pauli(wilson_loop(LAT22, "x", 0, "electric"),
+                        2).is_identity_up_to_phase()
 
     @pytest.mark.parametrize("lat", [LAT22, LAT23])
     def test_transverse_loops_braid_with_omega_phase(self, lat):
         for a in range(1, lat.n):
             for b in range(1, lat.n):
-                we = wilson_loop(lat, "x", a, "electric")
-                wm = wilson_loop(lat, "y", b, "magnetic")
+                we = as_pauli(wilson_loop(lat, "x", a, "electric"), lat.n)
+                wm = as_pauli(wilson_loop(lat, "y", b, "magnetic"), lat.n)
                 assert commutation_exponent(we, wm) == (a * b) % lat.n
 
     @pytest.mark.parametrize("lat", [LAT22, LAT23])
     def test_loops_commute_with_all_stabilizers(self, lat):
-        stabs = build_stabilizers(lat)
+        stabs = stabilizer_paulis(lat)
         for cycle in ("x", "y"):
             for kind in ("electric", "magnetic"):
-                w = wilson_loop(lat, cycle, 1, kind)
+                w = as_pauli(wilson_loop(lat, cycle, 1, kind), lat.n)
                 assert all(commutation_exponent(w, s) == 0 for s in stabs)
 
     def test_loop_weight_is_l(self):
-        assert wilson_loop(LAT32, "x", 1, "electric").weight == 3
+        assert as_pauli(wilson_loop(LAT32, "x", 1, "electric"), 2).weight == 3
 
     @pytest.mark.parametrize("l", range(2, 6))
     def test_logical_probes_are_the_charge_one_loops(self, l):
@@ -174,8 +180,23 @@ class TestWilsonLoops:
                      wilson_loop(lat, "x", 1, "magnetic"),
                      wilson_loop(lat, "x", -1, "electric"),
                      wilson_loop(lat, "y", -1, "electric")]
-            np.testing.assert_array_equal(_logical_probes(lat),
-                                          PauliArray.of(loops, n).xz)
+            np.testing.assert_array_equal(_logical_probes(lat), np.stack(loops))
+
+    @pytest.mark.parametrize("l", range(2, 6))
+    def test_rows_match_edge_by_edge_oracle(self, l):
+        for n in range(2, 6):
+            lat = TorusLattice(l, n)
+            for cycle in ("x", "y"):
+                for kind in ("electric", "magnetic"):
+                    for charge in range(-n, 2 * n + 1):
+                        np.testing.assert_array_equal(
+                            wilson_loop(lat, cycle, charge, kind),
+                            loop_by_edge(lat, cycle, charge, kind).xz)
+
+    def test_unknown_cycle_or_kind_refused(self):
+        for cycle, kind in (("z", "electric"), ("x", "dyonic")):
+            with pytest.raises(ValueError):
+                wilson_loop(LAT22, cycle, 1, kind)
 
 
 class TestSectorBasis:
@@ -191,17 +212,39 @@ class TestSectorBasis:
         wm = wilson_loop(LAT23, "x", 1, "magnetic")
         for idx, (a, b) in enumerate(sb.sector_labels):
             v = sb.basis[:, idx]
-            np.testing.assert_allclose(apply_pauli(LAT23, we, v),
+            np.testing.assert_allclose(apply_pauli(LAT23, we, 0, v),
                                        np.exp(2j * np.pi * a / 3) * v,
                                        atol=1e-8)
-            np.testing.assert_allclose(apply_pauli(LAT23, wm, v),
+            np.testing.assert_allclose(apply_pauli(LAT23, wm, 0, v),
                                        np.exp(2j * np.pi * b / 3) * v,
                                        atol=1e-8)
 
+    @pytest.mark.parametrize("lat", [LAT22, LAT23])
+    def test_is_the_closed_form_basis(self, lat):
+        gs = ground_space(lat)
+        assert sector_basis(gs) is gs
+
+    @pytest.mark.parametrize("lat", [LAT22, LAT23])
+    @pytest.mark.parametrize("change", ["swap", "mix", "scale"])
+    def test_other_bases_raise(self, lat, change):
+        gs = ground_space(lat)
+        basis = gs.basis.copy()
+        if change == "swap":
+            basis[:, [1, 2]] = basis[:, [2, 1]]
+        elif change == "scale":
+            basis[:, 1] *= 2        # still an eigenvector, but not normalised
+        else:
+            # column 1 becomes a combination of two sectors: still orthonormal
+            # to the rest, but no eigenvector of the x-cycle loops
+            basis[:, 1] = (gs.basis[:, 1] + gs.basis[:, 2]) / np.sqrt(2)
+            basis[:, 2] = (gs.basis[:, 1] - gs.basis[:, 2]) / np.sqrt(2)
+        with pytest.raises(RuntimeError):
+            sector_basis(GroundSpace(lat, basis, gs.sector_labels))
+
     def test_sector_basis_still_stabilized(self):
         sb = sector_basis(ground_space(LAT22))
-        for s in build_stabilizers(LAT22):
-            np.testing.assert_allclose(apply_pauli(LAT22, s, sb.basis),
+        for s in stabilizer_paulis(LAT22):
+            np.testing.assert_allclose(apply_pauli(LAT22, s.xz, 0, sb.basis),
                                        sb.basis, atol=1e-9)
 
 
@@ -213,20 +256,20 @@ class TestKlChecks:
         report = kl_check_toric(LAT22, 1)
         assert not report.satisfied
         b = sb.basis
-        for p in enumerate_pauli_errors(LAT22, 1):
+        for p in pauli_list(enumerate_pauli_errors(LAT22, 1)):
             # exactness is certified symbolically; the numeric basis carries
             # only float-level residue
             if not p.is_identity_up_to_phase():
                 assert ssr_certificate(LAT22, p) != "logical"
-            m = b.conj().T @ apply_pauli(LAT22, p, b)
+            m = b.conj().T @ apply_pauli(LAT22, p.xz, p.phase, b)
             off = m - np.diag(np.diag(m))
             assert np.max(np.abs(off)) <= 1e-12
 
     def test_l2_detection_only_passes(self):
         sb = sector_basis(ground_space(LAT22))
         b = sb.basis
-        for p in enumerate_pauli_errors(LAT22, 1):
-            m = b.conj().T @ apply_pauli(LAT22, p, b)
+        for p in pauli_list(enumerate_pauli_errors(LAT22, 1)):
+            m = b.conj().T @ apply_pauli(LAT22, p.xz, p.phase, b)
             diag = np.diag(m)
             assert np.max(np.abs(diag - diag[0])) < 1e-9
 
@@ -236,21 +279,22 @@ class TestKlChecks:
 
     def test_wilson_loop_in_error_set_violates(self):
         sb = sector_basis(ground_space(LAT22))
-        errors = [pauli_identity(LAT22.n_edges, 2),
-                  wilson_loop(LAT22, "x", 1, "magnetic")]
+        errors = pauli_array([pauli_identity(LAT22.n_edges, 2),
+                              as_pauli(wilson_loop(LAT22, "x", 1, "magnetic"), 2)], 2)
         report = kl_check_paulis(sb, errors)
         assert not report.satisfied
 
-    def test_weight_guard(self):
+    def test_weight_guard(self, monkeypatch):
         with pytest.raises(GuardExceededError):
             enumerate_pauli_errors(LAT22, 3)
+        monkeypatch.setattr(toriccode, "DEFAULT_ERROR_CAP", 100)
         with pytest.raises(GuardExceededError):
-            enumerate_pauli_errors(LAT32, 2, cap=100)
+            enumerate_pauli_errors(LAT32, 2)
 
 
 class TestSsrCertificates:
     def test_single_qudit_errors_detected(self):
-        stabs = build_stabilizers(LAT22)
+        stabs = stabilizer_paulis(LAT22)
         for e in range(LAT22.n_edges):
             for (x, z) in ((1, 0), (0, 1), (1, 1)):
                 cert = ssr_certificate(LAT22, single_qudit_pauli(LAT22, e, x, z),
@@ -258,14 +302,14 @@ class TestSsrCertificates:
                 assert cert == "detected"
 
     def test_stabilizer_membership(self):
-        stabs = build_stabilizers(LAT22)
+        stabs = stabilizer_paulis(LAT22)
         assert ssr_certificate(LAT22, stabs[0], stabs) == "stabilizer"
         combo = pauli_mul(stabs[0], stabs[1])
         assert ssr_certificate(LAT22, combo, stabs) == "stabilizer"
 
     def test_wilson_loops_are_logical(self):
         for kind in ("electric", "magnetic"):
-            w = wilson_loop(LAT32, "x", 1, kind)
+            w = as_pauli(wilson_loop(LAT32, "x", 1, kind), 2)
             assert ssr_certificate(LAT32, w) == "logical"
 
     def test_exact_zero_check_below_distance(self):
@@ -275,16 +319,16 @@ class TestSsrCertificates:
     def test_numeric_cross_check_of_exact_zeros(self):
         sb = sector_basis(ground_space(LAT22))
         b = sb.basis
-        for p in enumerate_pauli_errors(LAT22, 1):
+        for p in pauli_list(enumerate_pauli_errors(LAT22, 1)):
             if p.is_identity_up_to_phase():
                 continue
             assert ssr_certificate(LAT22, p) == "detected"
-            m = b.conj().T @ apply_pauli(LAT22, p, b)
+            m = b.conj().T @ apply_pauli(LAT22, p.xz, p.phase, b)
             assert np.max(np.abs(m - np.diag(np.diag(m)))) <= 1e-12
 
     def test_sector_check_interface_with_weight1_paulis(self):
         sb = sector_basis(ground_space(LAT22))
-        space = LAT22.space()
+        space = ProductSpace((LAT22.n,) * LAT22.n_edges)
         sectors = [CodeSpace((StateVector(space, sb.basis[:, i]),))
                    for i in range(sb.dimension)]
         ops = [Operator(space, pauli_dense(LAT22,
@@ -315,8 +359,8 @@ class TestPauliArrayAlgebra:
     def test_pair_products_match_pauli_mul(self, sets):
         errors, _ = sets
         phi = pair_phases(errors, *np.indices((len(errors),) * 2))
-        for a, ea in enumerate(errors):
-            for b, eb in enumerate(errors):
+        for a, ea in enumerate(pauli_list(errors)):
+            for b, eb in enumerate(pauli_list(errors)):
                 want = pauli_mul(pauli_adjoint(eb), ea)
                 diff = errors.xz[a] - errors.xz[b]
                 half = diff.size // 2
@@ -330,15 +374,15 @@ class TestPauliArrayAlgebra:
         a_set, b_set = sets
         c = commutation_exponents(a_set.xz, b_set.xz, a_set.n)
         assert c.shape == (len(a_set), len(b_set))
-        for i, pa in enumerate(a_set):
-            for j, pb in enumerate(b_set):
+        for i, pa in enumerate(pauli_list(a_set)):
+            for j, pb in enumerate(pauli_list(b_set)):
                 assert c[i, j] == commutation_exponent(pa, pb)
 
     @settings(max_examples=30, deadline=None)
     @given(pauli_arrays())
     def test_round_trip_through_quditpauli(self, sets):
         errors, _ = sets
-        back = PauliArray.of(list(errors), errors.n)
+        back = pauli_array(pauli_list(errors), errors.n)
         np.testing.assert_array_equal(back.xz, errors.xz)
         np.testing.assert_array_equal(back.phase, errors.phase)
 
@@ -364,15 +408,15 @@ class TestErrorEnumeration:
                                        (LAT32, 1)])
     def test_matches_loop_enumeration_and_closed_form(self, lat, w):
         errors = enumerate_pauli_errors(lat, w)
-        assert list(errors) == old_enumeration(lat, w)
+        assert pauli_list(errors) == old_enumeration(lat, w)
         assert len(errors) == error_count(lat, w)
 
 
 def dense_elements(gs, errors):
     """M[a, b, i, j] = <j|E_b^dag E_a|i> from state vectors and one Gram."""
     k = gs.dimension
-    flat = np.concatenate([apply_pauli(gs.lattice, p, gs.basis).T
-                           for p in errors])
+    flat = np.concatenate([apply_pauli(gs.lattice, xz, phase, gs.basis).T
+                           for xz, phase in zip(errors.xz, errors.phase)])
     gram = flat @ flat.conj().T
     return gram.reshape(len(errors), k, len(errors), k).transpose(0, 2, 1, 3)
 
@@ -381,9 +425,9 @@ def loaded_errors(lat, rng, count=12):
     """Identity, loops, stabilizer-times-loop products and random Paulis,
     with random phases: every block type of M appears."""
     n = lat.n
-    stabs = PauliArray.of(build_stabilizers(lat), n).xz
-    loops = PauliArray.of([wilson_loop(lat, c, 1, k) for c in "xy"
-                           for k in ("electric", "magnetic")], n).xz
+    stabs = pauli_array(stabilizer_paulis(lat), n).xz
+    loops = np.stack([wilson_loop(lat, c, 1, k) for c in "xy"
+                      for k in ("electric", "magnetic")])
     xz = [np.zeros(2 * lat.n_edges, dtype=np.int64)]
     for _ in range(count):
         row = rng.integers(0, n, len(stabs)) @ stabs + rng.integers(0, n, 4) @ loops
@@ -541,16 +585,16 @@ class TestCosetBasis:
         w = np.exp(2j * np.pi / n)
         for (a, b), v in col.items():
             np.testing.assert_allclose(
-                apply_pauli(lat, wilson_loop(lat, "x", 1, "electric"), v),
+                apply_pauli(lat, wilson_loop(lat, "x", 1, "electric"), 0, v),
                 w ** a * v, atol=1e-12)
             np.testing.assert_allclose(
-                apply_pauli(lat, wilson_loop(lat, "x", 1, "magnetic"), v),
+                apply_pauli(lat, wilson_loop(lat, "x", 1, "magnetic"), 0, v),
                 w ** b * v, atol=1e-12)
             np.testing.assert_allclose(
-                apply_pauli(lat, wilson_loop(lat, "y", 1, "magnetic"), v),
+                apply_pauli(lat, wilson_loop(lat, "y", 1, "magnetic"), 0, v),
                 col[((a + 1) % n, b)], atol=1e-12)
             np.testing.assert_allclose(
-                apply_pauli(lat, wilson_loop(lat, "y", -1, "electric"), v),
+                apply_pauli(lat, wilson_loop(lat, "y", -1, "electric"), 0, v),
                 col[(a, (b + 1) % n)], atol=1e-12)
 
 
@@ -570,7 +614,7 @@ class TestSymbolicSsr:
         x_part, z_part = xz.copy(), xz.copy()
         x_part[:, lat.n_edges:] = 0
         z_part[:, :lat.n_edges] = 0
-        stabs = PauliArray.of(build_stabilizers(lat), lat.n).xz
+        stabs = pauli_array(stabilizer_paulis(lat), lat.n).xz
         undetected = ~commutation_exponents(xz, stabs, lat.n).any(axis=1)
         mask = logical_mask(lat, xz)
         assert mask.any() and not mask[undetected].all()
@@ -592,8 +636,8 @@ class TestSymbolicSsr:
     def test_agrees_with_rank_certificate(self, lat):
         errors = loaded_errors(lat, np.random.default_rng(60 + lat.l), 150)
         mask = logical_mask(lat, errors.xz)
-        stabs = build_stabilizers(lat)
-        certs = [ssr_certificate(lat, p, stabs) for p in errors]
+        stabs = stabilizer_paulis(lat)
+        certs = [ssr_certificate(lat, p, stabs) for p in pauli_list(errors)]
         assert len(set(certs)) == 3
         assert mask.tolist() == [c == "logical" for c in certs]
 

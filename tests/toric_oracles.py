@@ -1,30 +1,111 @@
 """Oracles for the Z_N toric code, kept for the tests only.
 
+``QuditPauli`` and ``pauli_mul`` are the scalar Pauli algebra: one Pauli
+at a time, as tuples of X and Z powers, with exact phase bookkeeping.
+``pauli_identity``, ``single_qudit_pauli``, ``commutation_exponent`` and
+``pauli_adjoint`` complete it, and ``as_pauli``, ``pauli_list`` and
+``pauli_array`` convert between it and the xz rows that
+``ssrqec.toriccode`` works on.  ``edge`` is the edge layout written out by
+direction and coordinates; ``stabilizers_by_vertex`` builds the stars and
+plaquettes one vertex at a time, and ``loop_by_edge`` the Wilson loops one
+edge at a time, as the references for the index arithmetic of
+``toriccode._stabilizer_rows`` and ``toriccode.wilson_loop``.
+
 ``kl_elements`` writes every element M[a, b, i, j] = <j| E_b^dag E_a |i> of
 an error set on the sector basis into one (E, E, N^2, N^2) array;
 ``klcore.report_from_elements`` then reads the verdict, C and deviations
 off it.  The syndrome-class check ``toriccode.kl_check_errors`` must agree
-with this path.  ``pauli_dense`` builds the dense matrix of a Pauli,
-``pauli_adjoint`` its adjoint one Pauli at a time, and ``ssr_certificate``
-decides stabilizer membership by rank over GF(N).  ``stabilizers_by_vertex``
-builds the stars and plaquettes one vertex at a time, edge by edge, as the
-reference for the index arithmetic of ``toriccode._stabilizer_rows``.
-``pauli_identity``, ``single_qudit_pauli`` and ``commutation_exponent`` are
-the scalar Pauli algebra the tests use, and ``logical_mask`` marks logical
-operators row by row, the enumeration oracle for
-``toriccode.ssr_exact_zero_check``.
+with this path.  ``pauli_dense`` builds the dense matrix of a Pauli, and
+``ssr_certificate`` decides stabilizer membership by rank over GF(N).
+``logical_mask`` marks logical operators row by row, the enumeration
+oracle for ``toriccode.ssr_exact_zero_check``.
 """
 
 import math
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from ssrqec import klcore
-from ssrqec.toriccode import (PauliArray, QuditPauli, TorusLattice,
-                              _logical_probes, _stabilizer_rows,
-                              build_stabilizers, commutation_exponents,
+from ssrqec.toriccode import (PauliArray, TorusLattice, _logical_probes,
+                              _stabilizer_rows, commutation_exponents,
                               pair_phases, pauli_permutation)
+
+
+@dataclass(frozen=True)
+class QuditPauli:
+    """phase_factor * prod_e X_e^{x_e} Z_e^{z_e} with X|j> = |j+1>, Z|j> = w^j |j>.
+
+    ``phase`` is the exponent of e^{i pi / N}, kept mod 2N so products of
+    w = e^{2 pi i / N} factors stay exact.
+    """
+
+    x_powers: tuple[int, ...]
+    z_powers: tuple[int, ...]
+    n: int
+    phase: int = 0
+
+    def __post_init__(self):
+        nn = self.n
+        object.__setattr__(self, "x_powers",
+                           tuple(int(p) % nn for p in self.x_powers))
+        object.__setattr__(self, "z_powers",
+                           tuple(int(p) % nn for p in self.z_powers))
+        object.__setattr__(self, "phase", int(self.phase) % (2 * nn))
+
+    @property
+    def xz(self) -> np.ndarray:
+        """The row (x powers | z powers) that ``toriccode`` takes."""
+        return np.array(self.x_powers + self.z_powers, dtype=np.int64)
+
+    @property
+    def weight(self) -> int:
+        return sum(1 for x, z in zip(self.x_powers, self.z_powers)
+                   if x != 0 or z != 0)
+
+    def support(self) -> tuple[int, ...]:
+        return tuple(e for e, (x, z) in enumerate(zip(self.x_powers, self.z_powers))
+                     if x != 0 or z != 0)
+
+    def is_identity_up_to_phase(self) -> bool:
+        return self.weight == 0
+
+
+def pauli_mul(a: QuditPauli, b: QuditPauli) -> QuditPauli:
+    """a @ b in the canonical X-then-Z ordering; exact phase bookkeeping."""
+    if a.n != b.n or len(a.x_powers) != len(b.x_powers):
+        raise ValueError("pauli operands are incompatible")
+    n = a.n
+    # moving Z^{z_a} through X^{x_b} costs w^{z_a . x_b}
+    cross = sum(za * xb for za, xb in zip(a.z_powers, b.x_powers))
+    x = tuple((xa + xb) % n for xa, xb in zip(a.x_powers, b.x_powers))
+    z = tuple((za + zb) % n for za, zb in zip(a.z_powers, b.z_powers))
+    return QuditPauli(x, z, n, a.phase + b.phase + 2 * cross)
+
+
+def as_pauli(xz, n: int, phase: int = 0) -> QuditPauli:
+    """The ``QuditPauli`` of one xz row."""
+    half = len(xz) // 2
+    return QuditPauli(tuple(xz[:half]), tuple(xz[half:]), n, phase)
+
+
+def pauli_list(paulis: PauliArray) -> list[QuditPauli]:
+    """The rows of a ``PauliArray`` as ``QuditPauli`` objects."""
+    return [as_pauli(xz, paulis.n, p) for xz, p in zip(paulis.xz, paulis.phase)]
+
+
+def pauli_array(paulis: Sequence[QuditPauli], n: int) -> PauliArray:
+    """``QuditPauli`` objects as the rows of a ``PauliArray``."""
+    xz = np.array([p.x_powers + p.z_powers for p in paulis], dtype=np.int64)
+    phase = np.array([p.phase for p in paulis], dtype=np.int64)
+    return PauliArray(xz.reshape(len(paulis), -1), phase, n)
+
+
+def stabilizer_paulis(lat: TorusLattice) -> list[QuditPauli]:
+    """``toriccode._stabilizer_rows`` as ``QuditPauli`` objects."""
+    rows = _stabilizer_rows(lat)
+    return pauli_list(PauliArray(rows, np.zeros(len(rows), dtype=np.int64), lat.n))
 
 
 def pauli_identity(n_edges: int, n: int) -> QuditPauli:
@@ -57,24 +138,64 @@ def logical_mask(lat: TorusLattice, xz: np.ndarray) -> np.ndarray:
     return mask
 
 
+def edge(lat: TorusLattice, direction: str, x: int, y: int) -> int:
+    """Edge index; direction 'h' (toward +x) or 'v' (toward +y)."""
+    if direction not in ("h", "v"):
+        raise ValueError("direction must be 'h' or 'v'")
+    base = 0 if direction == "h" else lat.l * lat.l
+    return base + (y % lat.l) * lat.l + x % lat.l
+
+
+def loop_by_edge(lat: TorusLattice, cycle: str, charge: int,
+                 kind: str) -> QuditPauli:
+    """Z^charge (electric) or X^charge (magnetic) along a representative
+    cycle, written edge by edge: electric loops along direct-lattice
+    cycles, magnetic loops along dual-lattice cycles (crossing vertical
+    edges for an x-winding, horizontal edges for a y-winding)."""
+    a = charge % lat.n
+    xs = [0] * lat.n_edges
+    zs = [0] * lat.n_edges
+    if kind == "electric":
+        if cycle == "x":
+            for x in range(lat.l):
+                zs[edge(lat, "h", x, 0)] = a
+        elif cycle == "y":
+            for y in range(lat.l):
+                zs[edge(lat, "v", 0, y)] = a
+        else:
+            raise ValueError("cycle must be 'x' or 'y'")
+    elif kind == "magnetic":
+        if cycle == "x":
+            for x in range(lat.l):
+                xs[edge(lat, "v", x, 0)] = a
+        elif cycle == "y":
+            for y in range(lat.l):
+                xs[edge(lat, "h", 0, y)] = a
+        else:
+            raise ValueError("cycle must be 'x' or 'y'")
+    else:
+        raise ValueError("kind must be 'electric' or 'magnetic'")
+    return QuditPauli(tuple(xs), tuple(zs), lat.n)
+
+
 def stabilizers_by_vertex(lat: TorusLattice) -> list[QuditPauli]:
     """l^2 star operators followed by l^2 plaquette operators."""
     stabs = []
     for y in range(lat.l):
         for x in range(lat.l):
             xs = [0] * lat.n_edges
-            xs[lat.edge("h", x, y)] += 1       # outgoing +x
-            xs[lat.edge("v", x, y)] += 1       # outgoing +y
-            xs[lat.edge("h", x - 1, y)] -= 1   # incoming from -x
-            xs[lat.edge("v", x, y - 1)] -= 1   # incoming from -y
+            xs[edge(lat, "h", x, y)] += 1       # outgoing +x
+            xs[edge(lat, "v", x, y)] += 1       # outgoing +y
+            xs[edge(lat, "h", x - 1, y)] -= 1   # incoming from -x
+            xs[edge(lat, "v", x, y - 1)] -= 1   # incoming from -y
             stabs.append(QuditPauli(tuple(xs), (0,) * lat.n_edges, lat.n))
     for y in range(lat.l):
         for x in range(lat.l):
             zs = [0] * lat.n_edges
-            zs[lat.edge("h", x, y)] += 1       # bottom, +x
-            zs[lat.edge("v", x + 1, y)] += 1   # right, +y
-            zs[lat.edge("h", x, y + 1)] -= 1   # top, -x
-            zs[lat.edge("v", x, y)] -= 1       # left, -y
+            zs[edge(lat, "h", x, y)] += 1       # bottom, +x
+            zs[edge(lat, "v", x + 1, y)] += 1   # right, +y
+            zs[edge(lat, "h", x, y + 1)] -= 1   # top, -x
+            zs[edge(lat, "v", x, y)] -= 1       # left, -y
             stabs.append(QuditPauli((0,) * lat.n_edges, tuple(zs), lat.n))
     return stabs
 
@@ -90,8 +211,7 @@ def kl_elements(lat: TorusLattice, errors: PauliArray) -> np.ndarray:
     |s + alpha, t - delta>.
     """
     n, k = lat.n, lat.n * lat.n
-    stabs = PauliArray.of(build_stabilizers(lat), n).xz
-    syndrome = commutation_exponents(errors.xz, stabs, n)
+    syndrome = commutation_exponents(errors.xz, _stabilizer_rows(lat), n)
     _, cls = np.unique(syndrome, axis=0, return_inverse=True)
     cls = cls.reshape(-1)
     ea, eb = np.nonzero(cls[:, None] == cls[None, :])   # undetected pairs
@@ -109,7 +229,7 @@ def kl_elements(lat: TorusLattice, errors: PauliArray) -> np.ndarray:
 
 def pauli_dense(lat: TorusLattice, p: QuditPauli) -> np.ndarray:
     """Dense matrix, for small-lattice cross-checks only."""
-    targets, phases = pauli_permutation(lat, p)
+    targets, phases = pauli_permutation(lat, p.xz, p.phase)
     d = lat.dim
     m = np.zeros((d, d), dtype=np.complex128)
     m[targets, np.arange(d)] = phases
@@ -169,7 +289,7 @@ def ssr_certificate(lat: TorusLattice, p: QuditPauli,
     if not _is_prime(lat.n):
         raise ValueError("symbolic membership test requires prime N")
     if stabilizers is None:
-        stabilizers = build_stabilizers(lat)
+        stabilizers = stabilizer_paulis(lat)
     for s in stabilizers:
         if commutation_exponent(p, s):
             return "detected"
