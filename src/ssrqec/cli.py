@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from . import __version__
-from .errors import GuardExceededError, PropagatorPoleError
+from .errors import GuardExceededError, PropagatorPoleError, check_budget
 
 _ESCAPE = json.encoder.encode_basestring_ascii
 _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as json.dumps
@@ -151,10 +151,11 @@ def _column(values, nl: str) -> list[str]:
 
 def _plan_kl_check(params: dict):
     from . import hilbert, klcore
-    code = klcore.CodeSpace(tuple(hilbert.vector_from_json(v)
-                                  for v in params["codewords"]))
-    errors = klcore.ErrorSet(tuple(hilbert.operator_from_json(m)
-                                   for m in params["errors"]))
+    words, ops = params["codewords"], params["errors"]
+    check_budget(klcore.kl_check_bytes(len(words), len(ops), len(words[0]["re"])),
+                 "the kl-check run")
+    code = klcore.CodeSpace(tuple(hilbert.vector_from_json(v) for v in words))
+    errors = klcore.ErrorSet(tuple(hilbert.operator_from_json(m) for m in ops))
     klcore.require_same_space(code, errors)
     return code, errors, params.get("tol", klcore.DEFAULT_KL_TOL)
 
@@ -166,9 +167,8 @@ def _run_kl_check(planned, outdir: Path, seed: Optional[int]) -> list[tuple[str,
 
 
 _ROTOR_AMP = 1.0 / np.sqrt(2.0)  # logical alpha = beta of the rotor experiment
-# Bytes a rotor run may hold: tracemalloc peaks of cli.run grow by about 193 B
-# per nonzero amplitude (rows, sorted copies, CSV rows) over a fixed 140 KB.
-ROTOR_MEMORY_BUDGET = 2 ** 30
+# Tracemalloc peaks of a rotor cli.run grow by about 193 B per nonzero
+# amplitude (rows, sorted copies, CSV rows) over a fixed 140 KB.
 ROTOR_BASE_BYTES, ROTOR_ENTRY_BYTES = 2 ** 18, 256
 
 
@@ -180,10 +180,7 @@ def _rotor_bytes(q_max: int, w: int) -> int:
 
 def _plan_rotor(params: dict):
     q_max, w = params["q_max"], params["w"]
-    if (need := _rotor_bytes(q_max, w)) > ROTOR_MEMORY_BUDGET:
-        raise GuardExceededError(
-            f"rotor states need {need / 2 ** 20:.0f} MiB and exceed the "
-            f"{ROTOR_MEMORY_BUDGET / 2 ** 20:.0f} MiB budget")
+    check_budget(_rotor_bytes(q_max, w), "the rotor run")
     from . import rotor
     space = rotor.RotorSpace(q_max)
     q1, q2 = params["logical_charges"]
@@ -250,6 +247,7 @@ def _plan_xsec(params: dict):
         raise GuardExceededError(
             f"n_theta = {n_theta} exceeds {scatter.MAX_N_THETA}: the quadrature "
             f"nodes need an n_theta x n_theta eigenproblem")
+    check_budget(scatter.sweep_bytes(params["steps"], n_theta), "the xsec sweep")
     energies = np.linspace(params["e_cm_min"], params["e_cm_max"], params["steps"])
     masses = tuple(params["masses"])
     scatter.check_energies(energies, masses, n_theta)

@@ -156,6 +156,18 @@ def kl_check(code: CodeSpace, errors: ErrorSet, tol: float = DEFAULT_KL_TOL) -> 
     return kl_check_from_applied(applied, tol)
 
 
+def kl_check_bytes(n_codewords: int, n_errors: int, dim: int) -> int:
+    """Bytes a kl-check run of E errors on K codewords of dimension D holds
+    at most, in closed form: the D x D operators (twice while one is parsed),
+    the E K applied columns three times (the array, its transposed copy and
+    that copy's conjugate in the Gram product), 128 B per element of the
+    (E K)^2 Gram (M, its deviations and the indices of recorded ones) and
+    96 B per entry of the E x E matrix C as floats and JSON text.  Tracemalloc
+    peaks of ``cli.run`` come to about 200 B per C entry at K = 1."""
+    e, k, d = n_errors, n_codewords, dim
+    return 16 * (e + 1) * d * d + 48 * e * d * k + 128 * (e * k) ** 2 + 96 * e * e
+
+
 def kl_check_from_applied(applied: np.ndarray, tol: float = DEFAULT_KL_TOL) -> KLReport:
     """KL check from precomputed columns E_a |i>, shape (n_errors, dim, K).
 

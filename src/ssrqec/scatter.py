@@ -446,6 +446,15 @@ def sigma_tot_grid(e_values, masses: tuple[float, float, float, float],
             for x, s, a in zip(e, sigma, above)]
 
 
+def sweep_bytes(steps: int, n_theta: int) -> int:
+    """Bytes an xsec run of ``steps`` energies holds at most, in closed form:
+    one chunk of GRID_CHUNK_ROWS (energy, node) rows at 1 KiB a row, two
+    n_theta x n_theta doubles for the nodes, and 512 B per energy for its
+    result, CSV row and text (its tracemalloc peak grows by about 250 B and
+    its max RSS by about 400 B per energy)."""
+    return 1024 * GRID_CHUNK_ROWS + 16 * n_theta ** 2 + 512 * steps
+
+
 def check_energies(e_values, masses: tuple[float, float, float, float],
                    n_theta: int = 64) -> None:
     """Refuse a sweep before any amplitude is built, as sigma_tot_grid would:

@@ -15,7 +15,7 @@ stabilizer and Wilson-loop probe rows come from index arithmetic over all
 vertices at once, each error's syndrome is one byte-string key, and C is
 kept as one block per syndrome class, sliced from one sorted order.  The
 bytes the check holds, predicted from the error count, are checked against
-``KL_MEMORY_BUDGET`` before anything is enumerated.
+``errors.MEMORY_BUDGET`` before anything is enumerated.
 
 ``ssr_exact_zero_check`` certifies, enumerating nothing, that no Pauli
 below the code distance is logical: each Wilson-loop probe has l disjoint
@@ -31,8 +31,12 @@ acts as w^a and the x-winding magnetic loop as w^b, with w = e^{2 pi i / N}.
 
 The dense state-vector code (``ground_space``, ``sector_basis``,
 ``apply_pauli``, ``kl_check_paulis``) applies the same rows to explicit
-states and stays as the test oracle for small lattices (dimension
-N^(2 l^2) <= ``DESK_GUARD_DIM``); ``sector_basis`` checks the basis that
+states and stays as the test oracle for small lattices.  ``apply_pauli``
+reads a state as the (N,) * n_edges tensor of its basis digits: a Pauli is
+one broadcast phase and one roll per X edge.  ``ground_space`` and
+``kl_check_paulis`` refuse before they allocate when the closed form of
+the bytes they hold (``ground_space_bytes``, ``kl_check_paulis_bytes``)
+exceeds the same budget; ``sector_basis`` checks the basis that
 ``ground_space`` builds in closed form instead of diagonalising.
 
 Edge orientation convention: horizontal edges point +x, vertical +y; edge
@@ -47,23 +51,19 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Optional
 
 import numpy as np
 
 from . import klcore
 from ._rowkeys import class_ids
-from .errors import GuardExceededError
+from .errors import GuardExceededError, budget_refusal, check_budget
 from .klcore import KLReport
 
-DESK_GUARD_DIM = 2 ** 20
 DEFAULT_ERROR_CAP = 10_000
 MAX_ENUM_WEIGHT = 2
-# Bytes the symbolic KL check may hold at once; at most KL_ROW_COPIES copies
-# of its xz rows and syndromes are alive, and it builds C KL_PAIR_CHUNK
-# error pairs at a time.
-KL_MEMORY_BUDGET = 2 ** 30
+# At most KL_ROW_COPIES copies of the symbolic KL check's xz rows and
+# syndromes are alive, and it builds C KL_PAIR_CHUNK error pairs at a time.
 KL_ROW_COPIES = 4
 KL_PAIR_CHUNK = 2 ** 14
 
@@ -132,48 +132,22 @@ def pair_phases(errors: PauliArray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # Numeric application
 
 
-@lru_cache(maxsize=8)
-def _digits(n: int, n_edges: int) -> np.ndarray:
-    """Base-N digits of every basis index, edge 0 most significant; (E, D)."""
-    d = n ** n_edges
-    if d > DESK_GUARD_DIM:
-        raise GuardExceededError(f"total dimension {d} exceeds guard {DESK_GUARD_DIM}")
-    idx = np.arange(d, dtype=np.int64)
-    out = np.empty((n_edges, d), dtype=np.int8)
-    for e in range(n_edges - 1, -1, -1):
-        out[e] = idx % n
-        idx //= n
-    return out
-
-
-def pauli_permutation(lat: TorusLattice, xz: np.ndarray, phase: int
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """(target indices, phases): P|j> = phases[j] |targets[j]> for the Pauli
-    e^{i pi phase / N} X^x Z^z with row ``xz`` = (x | z)."""
-    n, m = lat.n, lat.n_edges
-    digits = _digits(n, m)
-    xz = np.asarray(xz) % n
-    targets = np.arange(lat.dim, dtype=np.int64)
-    expo = np.zeros(lat.dim, dtype=np.int64)
-    for e in np.flatnonzero(xz[:m] | xz[m:]):
-        w_e = n ** (m - 1 - e)
-        xe, ze = xz[e], xz[m + e]
-        de = digits[e].astype(np.int64)
-        if xe:
-            targets += (((de + xe) % n) - de) * w_e
-        if ze:
-            expo += ze * de
-    omega = np.exp(2j * np.pi * (expo % n) / n)
-    global_phase = np.exp(1j * np.pi * (int(phase) % (2 * n)) / n)
-    return targets, global_phase * omega
-
-
 def apply_pauli(lat: TorusLattice, xz: np.ndarray, phase: int,
                 vec: np.ndarray) -> np.ndarray:
-    targets, phases = pauli_permutation(lat, xz, phase)
-    out = np.zeros_like(vec, dtype=np.complex128)
-    out[targets] = phases.reshape(phases.shape + (1,) * (vec.ndim - 1)) * vec
-    return out
+    """e^{i pi phase / N} X^x Z^z applied to ``vec``, read as the
+    (N,) * n_edges tensor of its basis digits (edge 0 first) with any
+    further axes as columns: one broadcast phase w^(z . j), then one roll
+    per X edge, since Z|j> = w^j |j> and X|j> = |j + 1>."""
+    n, m = lat.n, lat.n_edges
+    xz = np.asarray(xz) % n
+    out = vec.reshape((n,) * m + vec.shape[1:])
+    j = np.arange(n).reshape((n,) + (1,) * (out.ndim - 1))     # a digit, on axis 0
+    expo = sum(int(xz[m + e]) * np.moveaxis(j, 0, e) for e in np.flatnonzero(xz[m:]))
+    global_phase = np.exp(1j * np.pi * (int(phase) % (2 * n)) / n)
+    out = global_phase * np.exp(2j * np.pi * (np.asarray(expo) % n) / n) * out
+    for e in np.flatnonzero(xz[:m]):
+        out = np.roll(out, int(xz[e]), axis=e)
+    return out.reshape(vec.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +201,8 @@ def ground_space(lat: TorusLattice) -> GroundSpace:
     applying the y-winding loops, as in the module docstring.  M_y^a E_y^-b
     is X-only times Z-only, so its row is the sum of theirs and its phase 0.
     """
+    check_budget(ground_space_bytes(lat), "the dense ground space")
     n, m, l2 = lat.n, lat.n_edges, lat.l * lat.l
-    _digits(n, m)               # the DESK_GUARD_DIM refusal, before any state
     gens = np.vstack([_stabilizer_rows(lat)[:l2 - 1],
                       wilson_loop(lat, "x", 1, "magnetic")])[:, :m]
     coeffs = np.indices((n,) * l2).reshape(l2, -1).T
@@ -241,6 +215,15 @@ def ground_space(lat: TorusLattice) -> GroundSpace:
                     + wilson_loop(lat, "y", -b, "electric"), 0, vacuum)
         for a, b in labels])
     return GroundSpace(lat, basis, labels)
+
+
+def ground_space_bytes(lat: TorusLattice) -> int:
+    """Bytes ``ground_space`` holds at most, in closed form: its K = N^2
+    columns of dimension D twice (the list and the stacked basis), the
+    copies ``apply_pauli`` makes of one column, and the int rows of its orbit
+    of N^(l^2) X patterns."""
+    d, k = lat.dim, lat.n ** 2
+    return 32 * d * k + 64 * d + 8 * (lat.l ** 2 + 2 * lat.n_edges + 1) * lat.n ** (lat.l ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +374,21 @@ def kl_check_paulis(gs: GroundSpace, errors: PauliArray,
                     tol: float = 1e-9) -> KLReport:
     """Dense KL check of a Pauli error set against a ground-space basis."""
     lat, b = gs.lattice, gs.basis
+    check_budget(kl_check_paulis_bytes(lat, len(errors)), "the dense KL check")
     applied = np.empty((len(errors),) + b.shape, dtype=np.complex128)
     for a, (xz, phase) in enumerate(zip(errors.xz, errors.phase)):
         applied[a] = apply_pauli(lat, xz, phase, b)
     return klcore.kl_check_from_applied(applied, tol)
+
+
+def kl_check_paulis_bytes(lat: TorusLattice, n_errors: int) -> int:
+    """Bytes ``kl_check_paulis`` holds at most on the sector basis, in closed
+    form: the E K applied columns of dimension D three times (the array, its
+    transposed copy and that copy's conjugate in the Gram product), the
+    copies ``apply_pauli`` makes of the basis, and 120 B per element of the
+    (E K)^2 Gram (M, its deviations and the indices of recorded ones)."""
+    dk, ek = lat.dim * lat.n ** 2, n_errors * lat.n ** 2
+    return 48 * (n_errors + 1) * dk + 120 * ek ** 2
 
 
 class SyndromeKLReport:
@@ -496,11 +490,7 @@ def kl_guard(lat: TorusLattice, max_weight: int) -> Optional[str]:
     refusal = _enumeration_refusal(lat, max_weight)
     if refusal:
         return refusal
-    need = kl_check_bytes(lat, max_weight)
-    if need > KL_MEMORY_BUDGET:
-        return (f"KL check needs {need / 2 ** 20:.0f} MiB and exceeds the "
-                f"{KL_MEMORY_BUDGET / 2 ** 20:.0f} MiB budget")
-    return None
+    return budget_refusal(kl_check_bytes(lat, max_weight), "the KL check")
 
 
 def kl_check_toric(lat: TorusLattice, max_weight: int,

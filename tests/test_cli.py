@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ssrqec import cli, rotor, scatter
+from ssrqec import cli, klcore, rotor, scatter
 from ssrqec.hilbert import (ProductSpace, StateVector, apply, basis_state,
                             identity, operator_to_json, tensor_product,
                             vector_to_json)
@@ -85,6 +85,12 @@ def interchange(dims, re, im=None):
 
 E0, E1 = interchange([2], [1.0, 0.0]), interchange([2], [0.0, 1.0])
 ID2 = interchange([2], [1.0, 0.0, 0.0, 1.0])
+# Configs a size guard refuses before anything is parsed or built: 3 000
+# 1 x 1 errors on one codeword, and 10^7 cross-section energies.
+SIZE_REFUSED = {
+    "kl-check": kl_config([interchange([1], [1.0])], [interchange([1], [1.0])] * 3000),
+    "xsec": xsec_config(steps=10 ** 7),
+}
 REFUSED_BEFORE_RUN = {
     **XSEC_REFUSED,
     "rotor charge": rotor_config(q_max=4, error_charges=[7]),
@@ -434,7 +440,8 @@ class TestMainExitCodes:
             return {"experiment": "toric", "params": {"n": n, "l": l, "max_weight": w}}
         for name, config in (("a", toric(2, 5, 2)), ("b", toric(4, 3, 2)),
                              ("c", xsec_config(n_theta=2 ** 14)),
-                             ("d", rotor_config(q_max=10 ** 8))):
+                             ("d", rotor_config(q_max=10 ** 8)),
+                             ("e", SIZE_REFUSED["kl-check"]), ("f", SIZE_REFUSED["xsec"])):
             cfg = write_config(tmp_path, config, f"{name}.json")
             assert cli.main(["validate", str(cfg)]) == cli.EXIT_GUARD
             assert cli.main(["run", str(cfg), "--output-dir",
@@ -1215,3 +1222,39 @@ class TestRotorGuard:
         config = rotor_config(q_max=q_max, w=w, error_side=side, error_charges=flips)
         cli.run(config, str(tmp_path))  # first call: imports and caches
         assert traced_peak(config, tmp_path) <= cli._rotor_bytes(q_max, w)
+
+
+def random_kl_config(n_errors: int, dim: int, n_codewords: int) -> dict:
+    """Basis codewords and random real operators: with two or more codewords
+    the off-diagonal M entries deviate, so the check also records violations."""
+    rng = np.random.default_rng(n_errors + dim)
+    words = [interchange([dim], np.eye(dim)[k].tolist()) for k in range(n_codewords)]
+    errors = [interchange([dim], rng.normal(size=dim * dim).tolist())
+              for _ in range(n_errors)]
+    return kl_config(words, errors)
+
+
+class TestSizeGuards:
+    @pytest.mark.parametrize("name", sorted(SIZE_REFUSED))
+    def test_refuses_before_allocating(self, name):
+        tracemalloc.start()
+        try:
+            diags = cli.validate(SIZE_REFUSED[name])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(diags) == 1 and "guard" in diags[0] and "budget" in diags[0]
+        assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("n_errors, dim, n_codewords", [(200, 1, 1), (40, 8, 2),
+                                                            (12, 16, 4)])
+    def test_kl_check_peak_within_prediction(self, tmp_path, n_errors, dim, n_codewords):
+        config = random_kl_config(n_errors, dim, n_codewords)
+        cli.run(config, str(tmp_path))  # first call: imports
+        assert traced_peak(config, tmp_path) <= klcore.kl_check_bytes(
+            n_codewords, n_errors, dim)
+
+    @pytest.mark.parametrize("steps, n_theta", [(1, 2048), (3000, 16), (30000, 2)])
+    def test_xsec_peak_within_prediction(self, tmp_path, steps, n_theta):
+        config = xsec_config(steps=steps, n_theta=n_theta)
+        assert traced_peak(config, tmp_path) <= scatter.sweep_bytes(steps, n_theta)

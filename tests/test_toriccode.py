@@ -18,16 +18,17 @@ from ssrqec.toriccode import (GroundSpace, GuardExceededError, PauliArray,
                               _stabilizer_rows, _weight_chunks, apply_pauli,
                               commutation_exponents,
                               enumerate_pauli_errors, error_count,
-                              ground_space, kl_check_bytes, kl_check_errors,
-                              kl_check_paulis, kl_check_toric, kl_guard,
+                              ground_space, ground_space_bytes, kl_check_bytes,
+                              kl_check_errors, kl_check_paulis,
+                              kl_check_paulis_bytes, kl_check_toric, kl_guard,
                               pair_phases, sector_basis,
                               sector_labels, ssr_exact_zero_check,
                               wilson_loop)
-from toric_oracles import (QuditPauli, _rank_mod_p, as_pauli,
-                           commutation_exponent, dense_c, kl_elements,
-                           logical_mask, loop_by_edge, oracle_report,
-                           pauli_adjoint, pauli_array, pauli_dense,
-                           pauli_identity, pauli_list, pauli_mul,
+from toric_oracles import (QuditPauli, _rank_mod_p, apply_by_permutation,
+                           as_pauli, commutation_exponent, dense_c,
+                           kl_elements, logical_mask, loop_by_edge,
+                           oracle_report, pauli_adjoint, pauli_array,
+                           pauli_dense, pauli_identity, pauli_list, pauli_mul,
                            single_qudit_pauli, ssr_certificate,
                            stabilizer_paulis, stabilizers_by_vertex)
 
@@ -129,6 +130,31 @@ class TestStabilizers:
             np.testing.assert_array_equal(_stabilizer_rows(lat),
                                           pauli_array(oracle, n).xz)
             assert stabilizer_paulis(lat) == oracle
+
+
+@st.composite
+def paulis_on_states(draw):
+    """(lattice, xz row, phase, state): any powers and phase, unreduced, on
+    a real or complex state with no column axis or 1 to 3 columns."""
+    lat = draw(st.sampled_from([LAT22, LAT23, TorusLattice(2, 4), LAT32]))
+    n, m = lat.n, lat.n_edges
+    xz = draw(arrays(np.int64, 2 * m, elements=st.integers(-n, 2 * n - 1)))
+    phase = draw(st.integers(-4 * n, 4 * n))
+    shape = (lat.dim,) + draw(st.sampled_from([(), (1,), (3,)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    vec = rng.normal(size=shape)
+    if draw(st.booleans()):
+        vec = vec + 1j * rng.normal(size=shape)
+    return lat, xz, phase, vec
+
+
+@given(paulis_on_states())
+@settings(max_examples=60, deadline=None)
+def test_apply_pauli_equals_permutation_oracle_bitwise(case):
+    lat, xz, phase, vec = case
+    got = apply_pauli(lat, xz, phase, vec)
+    assert got.dtype == np.complex128 and got.shape == vec.shape
+    np.testing.assert_array_equal(got, apply_by_permutation(lat, xz, phase, vec))
 
 
 class TestGroundSpace:
@@ -735,3 +761,38 @@ def test_kl_verdict_matches_distance(n, l, w):
     # <= 2 w, lies below the distance l
     report = kl_check_toric(TorusLattice(l, n), w)
     assert (report.verdict == "satisfied") is (2 * w < l)
+
+
+class TestDenseGuard:
+    def test_refusals_allocate_nothing(self):
+        gs42, gs32 = ground_space(TorusLattice(2, 4)), ground_space(LAT32)
+        errors42 = enumerate_pauli_errors(TorusLattice(2, 4), 1)
+        errors32 = enumerate_pauli_errors(LAT32, 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GuardExceededError, match="budget"):
+                ground_space(TorusLattice(3, 3))
+            with pytest.raises(GuardExceededError, match="budget"):
+                kl_check_paulis(gs42, errors42)           # (N, l, w) = (4, 2, 1)
+            with pytest.raises(GuardExceededError, match="budget"):
+                kl_check_paulis(gs32, errors32)           # (2, 3, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("n,l,w", ORACLE_CASES)
+    def test_peaks_within_prediction(self, n, l, w):
+        lat = TorusLattice(l, n)
+        errors = enumerate_pauli_errors(lat, w)
+        tracemalloc.start()
+        try:
+            gs = ground_space(lat)
+            gs_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            kl_check_paulis(gs, errors)
+            kl_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gs_peak <= ground_space_bytes(lat)
+        assert kl_peak <= gs.basis.nbytes + kl_check_paulis_bytes(lat, len(errors))

@@ -11,14 +11,18 @@ plaquettes one vertex at a time, and ``loop_by_edge`` the Wilson loops one
 edge at a time, as the references for the index arithmetic of
 ``toriccode._stabilizer_rows`` and ``toriccode.wilson_loop``.
 
+``pauli_permutation`` maps each basis index to its image and phase from
+a table of base-N digits, the reference for ``toriccode.apply_pauli``,
+which works on tensor axes instead; ``apply_by_permutation`` applies a
+Pauli through it and ``pauli_dense`` builds a Pauli's dense matrix from it.
+
 ``kl_elements`` writes every element M[a, b, i, j] = <j| E_b^dag E_a |i> of
 an error set on the sector basis into one (E, E, N^2, N^2) array;
 ``klcore.report_from_elements`` then reads the verdict, C and deviations
 off it.  The syndrome-class check ``toriccode.kl_check_errors`` must agree
-with this path.  ``pauli_dense`` builds the dense matrix of a Pauli, and
-``ssr_certificate`` decides stabilizer membership by rank over GF(N).
-``logical_mask`` marks logical operators row by row, the enumeration
-oracle for ``toriccode.ssr_exact_zero_check``.
+with this path.  ``ssr_certificate`` decides stabilizer membership by rank
+over GF(N), and ``logical_mask`` marks logical operators row by row, the
+enumeration oracle for ``toriccode.ssr_exact_zero_check``.
 """
 
 import math
@@ -30,7 +34,7 @@ import numpy as np
 from ssrqec import klcore
 from ssrqec.toriccode import (PauliArray, TorusLattice, _logical_probes,
                               _stabilizer_rows, commutation_exponents,
-                              pair_phases, pauli_permutation)
+                              pair_phases)
 
 
 @dataclass(frozen=True)
@@ -225,6 +229,49 @@ def kl_elements(lat: TorusLattice, errors: PauliArray) -> np.ndarray:
     m[ea[:, None], eb[:, None], np.arange(k), target] = \
         np.exp(1j * np.pi * np.arange(2 * n) / n)[expo]
     return m
+
+
+def _digits(n: int, n_edges: int) -> np.ndarray:
+    """Base-N digits of every basis index, edge 0 most significant; (E, D)."""
+    d = n ** n_edges
+    idx = np.arange(d, dtype=np.int64)
+    out = np.empty((n_edges, d), dtype=np.int8)
+    for e in range(n_edges - 1, -1, -1):
+        out[e] = idx % n
+        idx //= n
+    return out
+
+
+def pauli_permutation(lat: TorusLattice, xz: np.ndarray, phase: int
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """(target indices, phases): P|j> = phases[j] |targets[j]> for the Pauli
+    e^{i pi phase / N} X^x Z^z with row ``xz`` = (x | z), from the digits of
+    every basis index; the oracle for ``toriccode.apply_pauli``."""
+    n, m = lat.n, lat.n_edges
+    digits = _digits(n, m)
+    xz = np.asarray(xz) % n
+    targets = np.arange(lat.dim, dtype=np.int64)
+    expo = np.zeros(lat.dim, dtype=np.int64)
+    for e in np.flatnonzero(xz[:m] | xz[m:]):
+        w_e = n ** (m - 1 - e)
+        xe, ze = xz[e], xz[m + e]
+        de = digits[e].astype(np.int64)
+        if xe:
+            targets += (((de + xe) % n) - de) * w_e
+        if ze:
+            expo += ze * de
+    omega = np.exp(2j * np.pi * (expo % n) / n)
+    global_phase = np.exp(1j * np.pi * (int(phase) % (2 * n)) / n)
+    return targets, global_phase * omega
+
+
+def apply_by_permutation(lat: TorusLattice, xz: np.ndarray, phase: int,
+                         vec: np.ndarray) -> np.ndarray:
+    """P vec from ``pauli_permutation``: phases[j] vec[j] lands on targets[j]."""
+    targets, phases = pauli_permutation(lat, xz, phase)
+    out = np.zeros_like(vec, dtype=np.complex128)
+    out[targets] = phases.reshape(phases.shape + (1,) * (vec.ndim - 1)) * vec
+    return out
 
 
 def pauli_dense(lat: TorusLattice, p: QuditPauli) -> np.ndarray:
