@@ -166,7 +166,6 @@ def _run_kl_check(planned, outdir: Path, seed: Optional[int]) -> list[tuple[str,
     return [_write(outdir / "kl_report.json", _json_bytes(report))]
 
 
-_ROTOR_AMP = 1.0 / np.sqrt(2.0)  # logical alpha = beta of the rotor experiment
 # Tracemalloc peaks of a rotor cli.run grow by about 193 B per nonzero
 # amplitude (rows, sorted copies, CSV rows) over a fixed 140 KB.
 ROTOR_BASE_BYTES, ROTOR_ENTRY_BYTES = 2 ** 18, 256
@@ -186,7 +185,7 @@ def _plan_rotor(params: dict):
     q1, q2 = params["logical_charges"]
     w1, w2 = (rotor.build_codeword(space, space, q, params["profile"], w)
               for q in (q1, q2))
-    psi = w1.combine(_ROTOR_AMP, w2, _ROTOR_AMP)
+    psi = w1.combine(rotor.LOGICAL_AMP, w2, rotor.LOGICAL_AMP)
     for q in params["error_charges"]:
         psi = rotor.apply_phase_flip(psi, q, params["error_side"])
     return psi, (q1, q2)
@@ -195,7 +194,7 @@ def _plan_rotor(params: dict):
 def _run_rotor(planned, outdir: Path, seed: Optional[int]) -> list[tuple[str, str]]:
     from . import rotor
     outcomes, probs, alphas, betas = rotor.enumerate_recovery(*planned)
-    fids = rotor.logical_fidelity(alphas, betas, _ROTOR_AMP, _ROTOR_AMP)
+    fids = rotor.logical_fidelity(alphas, betas, rotor.LOGICAL_AMP, rotor.LOGICAL_AMP)
     rows = zip(outcomes.tolist(), probs.tolist(), fids.tolist())
     return [_write_csv(outdir / "rotor_recovery.csv",
                        ["outcome_q_tilde", "probability", "recovered_fidelity"], rows)]
@@ -204,9 +203,9 @@ def _run_rotor(planned, outdir: Path, seed: Optional[int]) -> list[tuple[str, st
 def _run_qcd_rates(params: dict, outdir: Path,
                    seed: Optional[int]) -> list[tuple[str, str]]:
     from . import qcdcode
-    m_pi = params.get("m_pi", qcdcode.DEFAULTS.m_pi)
-    lam = params.get("lambda_qcd", qcdcode.DEFAULTS.lambda_qcd)
-    m_w = params.get("m_w", qcdcode.DEFAULTS.m_w)
+    m_pi = params.get("m_pi", qcdcode.M_PI)
+    lam = params.get("lambda_qcd", qcdcode.LAMBDA_QCD)
+    m_w = params.get("m_w", qcdcode.M_W)
     files = []
     if params.get("temperatures"):
         rows = [[t, qcdcode.thermal_flip_suppression(t, m_pi)]
@@ -269,7 +268,7 @@ def _plan_toric(params: dict):
     refusal = toriccode.kl_guard(lat, max_weight)
     if refusal:
         raise GuardExceededError(refusal)
-    return lat, max_weight, params.get("tol", 1e-9)
+    return lat, max_weight, params.get("tol", toriccode.KL_TOL)
 
 
 def _run_toric(planned, outdir: Path, seed: Optional[int]) -> list[tuple[str, str]]:

@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-DEFAULT_NORM_TOL = 1e-9
+NORM_TOL = 1e-9
 
 
 class DimensionMismatchError(ValueError):
@@ -75,13 +75,13 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def is_normalized(self, tol: float = DEFAULT_NORM_TOL) -> bool:
-        return abs(self.norm() ** 2 - 1.0) <= tol
+    def is_normalized(self) -> bool:
+        return abs(self.norm() ** 2 - 1.0) <= NORM_TOL
 
-    def require_normalized(self, tol: float = DEFAULT_NORM_TOL) -> "StateVector":
-        if not self.is_normalized(tol):
+    def require_normalized(self) -> "StateVector":
+        if not self.is_normalized():
             raise NormalizationError(
-                f"state norm^2 = {self.norm()**2!r} outside tolerance {tol}")
+                f"state norm^2 = {self.norm()**2!r} outside tolerance {NORM_TOL}")
         return self
 
     def normalized(self) -> "StateVector":
@@ -148,8 +148,6 @@ class DensityMatrix:
 
     space: ProductSpace
     matrix: np.ndarray
-    tol: float = DEFAULT_NORM_TOL
-    validate: bool = True
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.complex128)
@@ -157,19 +155,18 @@ class DensityMatrix:
         if m.shape != (d, d):
             raise DimensionMismatchError(f"density matrix shape {m.shape} != ({d}, {d})")
         object.__setattr__(self, "matrix", m)
-        if self.validate:
-            if np.max(np.abs(m - m.conj().T)) > self.tol:
-                raise ValueError("density matrix is not Hermitian within tolerance")
-            if abs(np.trace(m) - 1.0) > self.tol:
-                raise ValueError("density matrix trace differs from 1 beyond tolerance")
-            if np.min(np.linalg.eigvalsh(m)) < -self.tol:
-                raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
+        if np.max(np.abs(m - m.conj().T)) > NORM_TOL:
+            raise ValueError("density matrix is not Hermitian within tolerance")
+        if abs(np.trace(m) - 1.0) > NORM_TOL:
+            raise ValueError("density matrix trace differs from 1 beyond tolerance")
+        if np.min(np.linalg.eigvalsh(m)) < -NORM_TOL:
+            raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
 
     @classmethod
-    def from_state(cls, psi: StateVector, tol: float = DEFAULT_NORM_TOL) -> "DensityMatrix":
-        psi.require_normalized(tol)
+    def from_state(cls, psi: StateVector) -> "DensityMatrix":
+        psi.require_normalized()
         a = psi.amplitudes
-        return cls(psi.space, np.outer(a, a.conj()), tol=tol)
+        return cls(psi.space, np.outer(a, a.conj()))
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +199,10 @@ def inner(phi: StateVector, psi: StateVector) -> complex:
     return complex(np.vdot(phi.amplitudes, psi.amplitudes))
 
 
-def fidelity(phi: StateVector, psi: StateVector, tol: float = DEFAULT_NORM_TOL) -> float:
+def fidelity(phi: StateVector, psi: StateVector) -> float:
     """|<phi|psi>|^2 for normalized states."""
-    phi.require_normalized(tol)
-    psi.require_normalized(tol)
+    phi.require_normalized()
+    psi.require_normalized()
     return min(abs(inner(phi, psi)) ** 2, 1.0)
 
 
@@ -230,8 +227,7 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     if rho.space.labels is not None:
         kept_labels = tuple(rho.space.labels[i] for i in keep)
     out_space = ProductSpace(kept_dims, kept_labels)
-    return DensityMatrix(out_space, t.reshape(d_keep, d_keep), tol=max(rho.tol, 1e-9),
-                         validate=False)
+    return DensityMatrix(out_space, t.reshape(d_keep, d_keep))
 
 
 # ---------------------------------------------------------------------------

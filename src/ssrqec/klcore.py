@@ -22,7 +22,7 @@ from .hilbert import (DimensionMismatchError, Operator, ProductSpace,
                       StateVector)
 
 DEFAULT_KL_TOL = 1e-10
-_ORTHO_TOL = 1e-9
+_ORTHO_TOL = 1e-9  # codewords orthonormal, and a joint unitary's columns too
 MAX_RECORDED_VIOLATIONS = 100
 
 
@@ -64,10 +64,9 @@ class CodeSpace:
 
 @dataclass(frozen=True)
 class ErrorSet:
-    """Error operators with free-text labels, all square on one space."""
+    """Error operators, all square on one space."""
 
     operators: tuple[Operator, ...]
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         ops = tuple(self.operators)
@@ -77,12 +76,7 @@ class ErrorSet:
         for op in ops:
             if op.space.dim != dim:
                 raise DimensionMismatchError("error operators on different spaces")
-        labels = tuple(self.labels) if self.labels else tuple(
-            f"E{k}" for k in range(len(ops)))
-        if len(labels) != len(ops):
-            raise ValueError("one label per operator required")
         object.__setattr__(self, "operators", ops)
-        object.__setattr__(self, "labels", labels)
 
     def __len__(self) -> int:
         return len(self.operators)
@@ -121,23 +115,27 @@ def violations_to_json(violations) -> list[dict]:
 
 
 def report_from_elements(m: np.ndarray, tol: float) -> KLReport:
-    """Build a KLReport from M[a, b, i, j] = <j|E_b^dag E_a|i>."""
-    n_err = m.shape[0]
+    """Build a KLReport from M[a, b, i, j] = <j|E_b^dag E_a|i>.
+
+    Besides M it holds |M - C delta_ij| as floats (half an M), a bool mask
+    and 8 B per violating element.
+    """
     k = m.shape[2]
     c = np.einsum("abii->ab", m) / k
-    dev = m.copy()
     diag = np.arange(k)
-    dev[:, :, diag, diag] -= c[:, :, None]
-    absdev = np.abs(dev)
+    absdev = np.abs(m)
+    absdev[:, :, diag, diag] = np.abs(m[:, :, diag, diag] - c[:, :, None])
     max_violation = float(absdev.max())
     satisfied = max_violation <= tol
     violations = []
     if not satisfied:
-        idx = np.argwhere(absdev > tol)
-        order = np.argsort(-absdev[tuple(idx.T)])
-        for flat in order[:MAX_RECORDED_VIOLATIONS]:
-            a, b, i, j = (int(x) for x in idx[flat])
-            violations.append((a, b, i, j, complex(dev[a, b, i, j])))
+        absdev = absdev.reshape(-1)
+        idx = np.flatnonzero(absdev > tol)
+        order = np.argsort(-absdev[idx])
+        for flat in idx[order[:MAX_RECORDED_VIOLATIONS]]:
+            a, b, i, j = (int(x) for x in np.unravel_index(flat, m.shape))
+            dev = m[a, b, i, j] - c[a, b] if i == j else m[a, b, i, j]
+            violations.append((a, b, i, j, complex(dev)))
     return KLReport(c_matrix=c, max_violation=max_violation,
                     violations=tuple(violations), satisfied=satisfied, tol=tol)
 
@@ -152,34 +150,41 @@ def kl_check(code: CodeSpace, errors: ErrorSet, tol: float = DEFAULT_KL_TOL) -> 
     """Check <j|E_b^dag E_a|i> = C_ab delta_ij over all error pairs."""
     require_same_space(code, errors)
     cw = code.matrix()                      # dim x K
-    applied = np.stack([op.matrix @ cw for op in errors.operators])  # A x dim x K
-    return kl_check_from_applied(applied, tol)
+    rows = np.empty((len(errors), code.n_codewords, code.space.dim),
+                    dtype=np.complex128)
+    for a, op in enumerate(errors.operators):
+        rows[a] = (op.matrix @ cw).T
+    return kl_check_from_applied(rows, tol)
 
 
 def kl_check_bytes(n_codewords: int, n_errors: int, dim: int) -> int:
     """Bytes a kl-check run of E errors on K codewords of dimension D holds
     at most, in closed form: the D x D operators (twice while one is parsed),
-    the E K applied columns three times (the array, its transposed copy and
-    that copy's conjugate in the Gram product), 128 B per element of the
-    (E K)^2 Gram (M, its deviations and the indices of recorded ones) and
-    96 B per entry of the E x E matrix C as floats and JSON text.  Tracemalloc
-    peaks of ``cli.run`` come to about 200 B per C entry at K = 1."""
+    the E K applied rows twice (the array and its conjugate in the Gram
+    product) plus one error's product, 128 B per element of the (E K)^2
+    Gram (the Gram, M, |M - C delta_ij| and the indices of violating
+    elements) and 96 B per entry of the E x E matrix C as floats and JSON
+    text.  Tracemalloc peaks of ``cli.run`` come to about 200 B per C entry
+    at K = 1."""
     e, k, d = n_errors, n_codewords, dim
-    return 16 * (e + 1) * d * d + 48 * e * d * k + 128 * (e * k) ** 2 + 96 * e * e
+    return 16 * (e + 1) * d * d + 32 * (e + 1) * d * k + 128 * (e * k) ** 2 + 96 * e * e
 
 
-def kl_check_from_applied(applied: np.ndarray, tol: float = DEFAULT_KL_TOL) -> KLReport:
-    """KL check from precomputed columns E_a |i>, shape (n_errors, dim, K).
+def kl_check_from_applied(rows: np.ndarray, tol: float = DEFAULT_KL_TOL) -> KLReport:
+    """KL check from precomputed rows E_a |i>, shape (n_errors, K, dim).
 
     Sparse callers (toric module) apply their operators without ever
-    materializing matrices and hand the results in here.
+    materializing matrices and hand the results in here.  The rows are
+    contiguous in (a, i) order, so the Gram product copies only their
+    conjugate, and the Gram is released once M is built from it.
     """
-    n_err, dim, k = applied.shape
-    flat = np.transpose(applied, (0, 2, 1)).reshape(n_err * k, dim)
+    n_err, k, dim = rows.shape
+    flat = rows.reshape(n_err * k, dim)
     # gram[a*K+i, b*K+j] = (E_b|j>)^dag (E_a|i>)
     gram = flat @ flat.conj().T
-    m = gram.reshape(n_err, k, n_err, k).transpose(0, 2, 1, 3)
-    return report_from_elements(np.ascontiguousarray(m), tol)
+    m = np.ascontiguousarray(gram.reshape(n_err, k, n_err, k).transpose(0, 2, 1, 3))
+    del gram  # at K > 1, M is a copy: the report need not hold both
+    return report_from_elements(m, tol)
 
 
 @dataclass(frozen=True)
@@ -220,8 +225,7 @@ def ssr_sector_check(sectors: Sequence[CodeSpace], local_ops: ErrorSet,
 
 
 def kraus_extract(u: Operator, env_state: StateVector,
-                  env_basis: Sequence[StateVector],
-                  unitary_tol: float = 1e-9) -> ErrorSet:
+                  env_basis: Sequence[StateVector]) -> ErrorSet:
     """Kraus operators E_k = (I_sys x <e_k|) U (I_sys x |phi>).
 
     The environment is the trailing block of ``u``'s space; its dimension
@@ -234,7 +238,7 @@ def kraus_extract(u: Operator, env_state: StateVector,
         raise DimensionMismatchError("environment dim does not divide joint dim")
     d_sys = d_tot // d_env
     um = u.dense()
-    if np.max(np.abs(um.conj().T @ um - np.eye(d_tot))) > unitary_tol:
+    if np.max(np.abs(um.conj().T @ um - np.eye(d_tot))) > _ORTHO_TOL:
         raise ValueError("joint operator is not unitary within tolerance")
     env_state.require_normalized()
     phi = env_state.amplitudes
@@ -247,12 +251,11 @@ def kraus_extract(u: Operator, env_state: StateVector,
         lead.append(d)
         prod *= d
     sys_space = ProductSpace(tuple(lead)) if prod == d_sys else ProductSpace((d_sys,))
-    ops, labels = [], []
-    for k, ek in enumerate(env_basis):
+    ops = []
+    for ek in env_basis:
         if ek.space.dim != d_env:
             raise DimensionMismatchError("environment basis vector has wrong dim")
         e_k = np.einsum("m,imjn,n->ij", ek.amplitudes.conj(), u4, phi)
         if np.any(np.abs(e_k) > 0):
             ops.append(Operator(sys_space, e_k))
-            labels.append(f"K{k}")
-    return ErrorSet(tuple(ops), tuple(labels))
+    return ErrorSet(tuple(ops))

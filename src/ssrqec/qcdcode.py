@@ -29,21 +29,10 @@ import numpy as np
 from ._rowkeys import class_ids
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Default energy scales in MeV; dimensionless couplings."""
-
-    lambda_qcd: float = 330.0
-    m_pi: float = 140.0
-    m_w: float = 80400.0
-
-    def __post_init__(self):
-        for name in ("lambda_qcd", "m_pi", "m_w"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-
-
-DEFAULTS = PhysicalConstants()
+# Default energy scales of the rate models, in MeV
+LAMBDA_QCD = 330.0
+M_PI = 140.0
+M_W = 80400.0
 
 
 # ---------------------------------------------------------------------------
@@ -57,15 +46,15 @@ def pion_mass(m_u: float, m_d: float, b_scale: float) -> float:
     return math.sqrt(b_scale * (m_u + m_d))
 
 
-def thermal_flip_suppression(temperature: float, m_pi: float = DEFAULTS.m_pi) -> float:
+def thermal_flip_suppression(temperature: float, m_pi: float = M_PI) -> float:
     """Thermal bit-flip suppression e^{-m_pi / T}."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     return math.exp(-m_pi / temperature)
 
 
-def sm_flip_suppression(energy: float, lambda_qcd: float = DEFAULTS.lambda_qcd,
-                        m_w: float = DEFAULTS.m_w) -> float:
+def sm_flip_suppression(energy: float, lambda_qcd: float = LAMBDA_QCD,
+                        m_w: float = M_W) -> float:
     """max(e^{-Lambda/E}, (E/m_W)^2): pion channel vs electroweak capture."""
     if energy <= 0:
         raise ValueError("energy must be positive")

@@ -23,6 +23,8 @@ import numpy as np
 from .hilbert import Operator, ProductSpace, StateVector
 
 PROB_FLOOR = 1e-15
+LOGICAL_AMP = 1 / math.sqrt(2)  # alpha = beta of every rotor logical state
+FIDELITY_TOL = 1e-10  # a recovery this close to fidelity 1 is right
 
 
 @dataclass(frozen=True)
@@ -207,21 +209,20 @@ def logical_fidelity(alpha, beta, alpha_ref: complex, beta_ref: complex):
 def wrong_guess_error_probability(space_a: RotorSpace, space_b: RotorSpace,
                                   logical_charges: tuple[int, int],
                                   flip_charge: int,
-                                  profile: str = "uniform", window: int = 1,
-                                  alpha: complex = 1 / math.sqrt(2),
-                                  beta: complex = 1 / math.sqrt(2),
-                                  fidelity_tol: float = 1e-10) -> float:
+                                  profile: str = "uniform", window: int = 1) -> float:
     """Exact logical-error probability after one A-side phase flip.
 
-    Enumerates every B-measurement outcome of the corrupted state and sums,
-    in ascending outcome order, the probability of branches whose recovered
-    logical state differs from the input beyond a global phase.
+    Enumerates every B-measurement outcome of the corrupted state (alpha =
+    beta = LOGICAL_AMP) and sums, in ascending outcome order, the
+    probability of branches whose recovered logical state differs from the
+    input beyond a global phase and FIDELITY_TOL.
     """
     q1, q2 = logical_charges
+    amp = LOGICAL_AMP
     w1, w2 = (build_codeword(space_a, space_b, q, profile, window) for q in (q1, q2))
-    corrupted = apply_phase_flip(w1.combine(alpha, w2, beta), flip_charge, "A")
+    corrupted = apply_phase_flip(w1.combine(amp, w2, amp), flip_charge, "A")
     _, probs, alphas, betas = enumerate_recovery(corrupted, logical_charges)
-    wrong = logical_fidelity(alphas, betas, alpha, beta) < 1.0 - fidelity_tol
+    wrong = logical_fidelity(alphas, betas, amp, amp) < 1.0 - FIDELITY_TOL
     # cumsum adds in order, as ``p += p_i`` does (Python 3.12's ``sum`` compensates)
     return float(np.cumsum(np.append(0.0, probs[wrong]))[-1])
 
@@ -261,8 +262,8 @@ def m_inv(m_op: Operator, disc: GroupDiscretization) -> Operator:
 
 def prepare_simulated_superposition(alphas: Mapping[int, complex],
                                     space: RotorSpace,
-                                    profile: str = "gaussian", window: int = 1,
-                                    sigma: Optional[float] = None) -> ChargeState:
+                                    profile: str = "gaussian", window: int = 1
+                                    ) -> ChargeState:
     """Sum_{q, q~} alpha_q c_{q,q~} |-q>_R |q - q~>_A |q~>_B.
 
     The reference register R carries the compensating charge so the total
@@ -273,7 +274,7 @@ def prepare_simulated_superposition(alphas: Mapping[int, complex],
         raise ValueError("alpha amplitudes must be normalized")
     charges, amps = [], []
     for q, a_q in alphas.items():
-        word = build_codeword(space, space, q, profile, window, sigma)
+        word = build_codeword(space, space, q, profile, window)
         charges.append(np.column_stack((np.full(len(word.charges), -q), word.charges)))
         amps.append(a_q * word.amplitudes)
     return ChargeState(np.concatenate(charges), np.concatenate(amps),

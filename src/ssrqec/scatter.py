@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import PropagatorPoleError
 
-DEFAULT_POLE_GUARD = 1.0  # MeV^2
+POLE_GUARD = 1.0  # MeV^2: |k^2 - m_p^2| below this raises PropagatorPoleError
 # (energy, node) rows per spin_summed_amp2_grid call in sigma_tot_grid;
 # each row holds about 0.8 KiB of temporaries at the peak.
 GRID_CHUNK_ROWS = 2 ** 14
@@ -37,8 +37,8 @@ GRID_CHUNK_ROWS = 2 ** 14
 # n_theta x n_theta eigenproblem: about 0.12 s at 1024, 0.64 s at 2048 and
 # 4.2 s at 4096 nodes on a 2-vCPU VM, and 2 GiB of matrix at 2**14.
 MAX_N_THETA = 2048
-# default conservation_tol (MeV) and relative shell_tol of the scalar path;
-# the batched kernel uses the same values
+# default conservation_tol (MeV) of the scalar path and the relative on-shell
+# tolerance of dirac_u; the batched kernel uses the same values
 _KINEMATIC_TOL = 1e-6
 
 
@@ -121,12 +121,11 @@ class GammaBasis:
 GAMMA = GammaBasis(*_build_gammas())
 
 
-def dirac_u(p: FourMomentum, m: float, spin: int,
-            shell_tol: float = _KINEMATIC_TOL) -> np.ndarray:
+def dirac_u(p: FourMomentum, m: float, spin: int) -> np.ndarray:
     """Positive-energy spinor, Dirac representation, normalized u-bar u = 2m."""
     if spin not in (+1, -1):
         raise ValueError("spin must be +1 or -1")
-    if abs(p.mass2() - m * m) > shell_tol * max(m * m, 1.0):
+    if abs(p.mass2() - m * m) > _KINEMATIC_TOL * max(m * m, 1.0):
         raise ValueError(f"momentum off shell: p^2 = {p.mass2()}, m^2 = {m*m}")
     xi = np.array([1.0, 0.0], dtype=np.complex128) if spin == +1 \
         else np.array([0.0, 1.0], dtype=np.complex128)
@@ -203,7 +202,6 @@ def amplitude_p_to_n(k1: FourMomentum, k2: FourMomentum, k3: FourMomentum,
                      spins: tuple[int, int] = (+1, +1),
                      m_p: Optional[float] = None,
                      m_n: Optional[float] = None,
-                     pole_guard: float = DEFAULT_POLE_GUARD,
                      conservation_tol: float = _KINEMATIC_TOL) -> complex:
     """Tree amplitude p + phi -> n + pi with an s-channel proton propagator.
 
@@ -218,9 +216,9 @@ def amplitude_p_to_n(k1: FourMomentum, k2: FourMomentum, k3: FourMomentum,
     mn = m_n if m_n is not None else math.sqrt(max(k3.mass2(), 0.0))
     k = k1 + k2
     den = k.mass2() - mp * mp
-    if abs(den) < pole_guard:
+    if abs(den) < POLE_GUARD:
         raise PropagatorPoleError(
-            f"|k^2 - m_p^2| = {abs(den)} below pole guard {pole_guard}")
+            f"|k^2 - m_p^2| = {abs(den)} below pole guard {POLE_GUARD}")
     s1, s3 = spins
     u1 = dirac_u(k1, mp, s1)
     u3 = dirac_u(k3, mn, s3)
@@ -231,14 +229,13 @@ def amplitude_p_to_n(k1: FourMomentum, k2: FourMomentum, k3: FourMomentum,
 
 def spin_summed_amp2(k1: FourMomentum, k2: FourMomentum, k3: FourMomentum,
                      k4: FourMomentum, g1: float, g2: float, lam: float,
-                     m_p: Optional[float] = None, m_n: Optional[float] = None,
-                     pole_guard: float = DEFAULT_POLE_GUARD) -> float:
+                     m_p: Optional[float] = None, m_n: Optional[float] = None) -> float:
     """(1/2) sum over spins of |A|^2: initial-spin averaged, final summed."""
     total = 0.0
     for s1 in (+1, -1):
         for s3 in (+1, -1):
             a = amplitude_p_to_n(k1, k2, k3, k4, g1, g2, lam, (s1, s3),
-                                 m_p=m_p, m_n=m_n, pole_guard=pole_guard)
+                                 m_p=m_p, m_n=m_n)
             total += abs(a) ** 2
     return total / 2.0
 
@@ -296,15 +293,15 @@ def _initial_state(e: np.ndarray, m1: float, m2: float):
     return k1, k, _mass2(k) - m1 * m1
 
 
-def _check_pole(den: np.ndarray, pole_guard: float) -> None:
-    near = np.abs(den) < pole_guard
+def _check_pole(den: np.ndarray) -> None:
+    near = np.abs(den) < POLE_GUARD
     if near.any():
         raise PropagatorPoleError(f"|k^2 - m_p^2| = {float(np.abs(den[near][0]))} "
-                                  f"below pole guard {pole_guard}")
+                                  f"below pole guard {POLE_GUARD}")
 
 
 def _grid_kinematics(e: np.ndarray, c: np.ndarray,
-                     masses: tuple[float, float, float, float], pole_guard: float):
+                     masses: tuple[float, float, float, float]):
     """Momenta k1, k = k1 + k2, k^2 - m_p^2, k3 and k4 of every (E, c) row,
     for ``e`` of shape (E, 1) and ``c`` of shape (1, T), after the kinematic
     checks of spin_summed_amp2_grid."""
@@ -316,7 +313,7 @@ def _grid_kinematics(e: np.ndarray, c: np.ndarray,
     k4 = _on_shell(m4, -k_out * st, -k_out * c)
     if np.any(np.abs(k - (k3 + k4)) > _KINEMATIC_TOL):
         raise ValueError("energy-momentum not conserved at the required tolerance")
-    _check_pole(den, pole_guard)
+    _check_pole(den)
     for p, m in ((k1, m1), (k3, m3)):
         p2 = _mass2(p)
         off = np.abs(p2 - m * m) > _KINEMATIC_TOL * max(m * m, 1.0)
@@ -327,8 +324,7 @@ def _grid_kinematics(e: np.ndarray, c: np.ndarray,
 
 
 def spin_summed_amp2_grid(e_cm, cos_theta, masses: tuple[float, float, float, float],
-                          g1: float, g2: float, lam: float,
-                          pole_guard: float = DEFAULT_POLE_GUARD) -> np.ndarray:
+                          g1: float, g2: float, lam: float) -> np.ndarray:
     """spin_summed_amp2 at cm_kinematics(E, *masses, c) for every E x c.
 
     Returns an (E, T) array.  m_p = m1 and m_n = m3, as in make_amp2.  The
@@ -339,7 +335,7 @@ def spin_summed_amp2_grid(e_cm, cos_theta, masses: tuple[float, float, float, fl
     m1 = masses[0]
     k1, k, den, k3, k4 = _grid_kinematics(np.asarray(e_cm, dtype=float)[:, None],
                                           np.asarray(cos_theta, dtype=float)[None, :],
-                                          masses, pole_guard)
+                                          masses)
     vertex = _slash(k4, (-1j * g1) * _SLASH_G5) - g2 * GAMMA.g5
     propagator = 1j * (_slash(k) + m1 * np.eye(4)) / den[..., None, None]
     u1, u3 = _spinors(k1, m1), _spinors(k3, masses[2])
@@ -426,8 +422,7 @@ def sigma_tot(e_cm: float, masses: tuple[float, float, float, float],
 def sigma_tot_grid(e_values, masses: tuple[float, float, float, float],
                    g1: float, g2: float, lam: float, n_theta: int = 64
                    ) -> list[CrossSectionResult]:
-    """sigma_tot with make_amp2's |A|^2 (default pole guard) for every
-    energy of a sweep.
+    """sigma_tot with make_amp2's |A|^2 for every energy of a sweep.
 
     Energies above threshold go through spin_summed_amp2_grid in chunks of
     GRID_CHUNK_ROWS // n_theta energies (at least one).  Each energy's
@@ -464,17 +459,16 @@ def check_energies(e_values, masses: tuple[float, float, float, float],
     above, _, nodes, _ = _quadrature(e, masses, n_theta)
     ea = e[above]
     for sl in _chunks(ea.size, n_theta):
-        _grid_kinematics(ea[sl, None], nodes[None, :], masses, DEFAULT_POLE_GUARD)
+        _grid_kinematics(ea[sl, None], nodes[None, :], masses)
 
 
 def make_amp2(e_cm: float, masses: tuple[float, float, float, float],
-              g1: float, g2: float, lam: float,
-              pole_guard: float = DEFAULT_POLE_GUARD) -> Callable[[float], float]:
+              g1: float, g2: float, lam: float) -> Callable[[float], float]:
     """Spin-summed |A|^2 as a function of cos(theta) at fixed CM energy:
     a one-energy, one-node view of spin_summed_amp2_grid."""
 
     def amp2(cos_theta: float) -> float:
         return float(spin_summed_amp2_grid([e_cm], [cos_theta], masses, g1, g2,
-                                           lam, pole_guard)[0, 0])
+                                           lam)[0, 0])
 
     return amp2

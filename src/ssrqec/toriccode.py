@@ -61,6 +61,7 @@ from .errors import GuardExceededError, budget_refusal, check_budget
 from .klcore import KLReport
 
 DEFAULT_ERROR_CAP = 10_000
+KL_TOL = 1e-9  # the dense check's tolerance; the symbolic check's default
 MAX_ENUM_WEIGHT = 2
 # At most KL_ROW_COPIES copies of the symbolic KL check's xz rows and
 # syndromes are alive, and it builds C KL_PAIR_CHUNK error pairs at a time.
@@ -112,7 +113,11 @@ class PauliArray:
 def commutation_exponents(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """c[i, j] with a_i b_j = w^c b_j a_i, for xz rows a and b; one matmul mod N.
     The matmul runs in float64 (BLAS); for rows reduced mod N its sums stay
-    below 2 n_edges N^2 in modulus, so it is exact while that is < 2^53."""
+    at most 2 n_edges (N - 1)^2 in modulus, so it is exact while that is
+    < 2^53, and a larger N raises ValueError."""
+    if b.shape[1] * (n - 1) ** 2 >= 2 ** 53:
+        raise ValueError(f"N = {n} is too large for exact float64 commutation "
+                         f"exponents over {b.shape[1]} columns")
     half = b.shape[1] // 2
     symp = np.concatenate([-b[:, half:], b[:, :half]], axis=1).T
     return (a.astype(np.float64) @ symp.astype(np.float64)).astype(np.int64) % n
@@ -370,25 +375,24 @@ def enumerate_pauli_errors(lat: TorusLattice, max_weight: int) -> PauliArray:
 # KL checks
 
 
-def kl_check_paulis(gs: GroundSpace, errors: PauliArray,
-                    tol: float = 1e-9) -> KLReport:
-    """Dense KL check of a Pauli error set against a ground-space basis."""
+def kl_check_paulis(gs: GroundSpace, errors: PauliArray) -> KLReport:
+    """Dense KL check, at KL_TOL, of a Pauli error set against a ground-space basis."""
     lat, b = gs.lattice, gs.basis
     check_budget(kl_check_paulis_bytes(lat, len(errors)), "the dense KL check")
-    applied = np.empty((len(errors),) + b.shape, dtype=np.complex128)
+    rows = np.empty((len(errors), b.shape[1], b.shape[0]), dtype=np.complex128)
     for a, (xz, phase) in enumerate(zip(errors.xz, errors.phase)):
-        applied[a] = apply_pauli(lat, xz, phase, b)
-    return klcore.kl_check_from_applied(applied, tol)
+        rows[a] = apply_pauli(lat, xz, phase, b).T
+    return klcore.kl_check_from_applied(rows, KL_TOL)
 
 
 def kl_check_paulis_bytes(lat: TorusLattice, n_errors: int) -> int:
     """Bytes ``kl_check_paulis`` holds at most on the sector basis, in closed
-    form: the E K applied columns of dimension D three times (the array, its
-    transposed copy and that copy's conjugate in the Gram product), the
-    copies ``apply_pauli`` makes of the basis, and 120 B per element of the
-    (E K)^2 Gram (M, its deviations and the indices of recorded ones)."""
+    form: the E K applied rows of dimension D twice (the array and its
+    conjugate in the Gram product), the copies ``apply_pauli`` makes of the
+    basis, and 120 B per element of the (E K)^2 Gram (the Gram, M,
+    |M - C delta_ij| and the indices of violating elements)."""
     dk, ek = lat.dim * lat.n ** 2, n_errors * lat.n ** 2
-    return 48 * (n_errors + 1) * dk + 120 * ek ** 2
+    return 32 * n_errors * dk + 48 * dk + 120 * ek ** 2
 
 
 class SyndromeKLReport:
@@ -412,7 +416,7 @@ class SyndromeKLReport:
 
 
 def kl_check_errors(lat: TorusLattice, errors: PauliArray,
-                    tol: float = 1e-9) -> SyndromeKLReport:
+                    tol: float = KL_TOL) -> SyndromeKLReport:
     """Exact KL check of a Pauli error set on the sector basis, by syndrome class.
 
     Commutation exponents are linear in xz, so E_b^dag E_a commutes with
@@ -494,7 +498,7 @@ def kl_guard(lat: TorusLattice, max_weight: int) -> Optional[str]:
 
 
 def kl_check_toric(lat: TorusLattice, max_weight: int,
-                   tol: float = 1e-9) -> SyndromeKLReport:
+                   tol: float = KL_TOL) -> SyndromeKLReport:
     """Exact KL check of all Paulis of weight <= max_weight on the sector basis."""
     refusal = kl_guard(lat, max_weight)
     if refusal:
@@ -519,7 +523,8 @@ def ssr_exact_zero_check(lat: TorusLattice, max_weight: Optional[int] = None
     of their disjoint supports and has weight >= l; the probes are logical
     and have weight l (Kitaev, quant-ph/9707021; Dennis et al.,
     quant-ph/0110143).  So the answer is max_weight < l, and a failed check
-    is an invariant breach that raises RuntimeError.  The cost is set by the
+    is an invariant breach that raises RuntimeError.  An N too large for
+    exact ``commutation_exponents`` raises ValueError.  The cost is set by the
     dense ``_stabilizer_rows``, which grow as l^4: on a 2-vCPU VM, 0.3 ms at
     (l, N) = (6, 2) and 25 ms with a 32 MiB tracemalloc peak at (20, 5).
     """

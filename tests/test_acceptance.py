@@ -15,7 +15,8 @@ from ssrqec import cli
 from ssrqec.hilbert import (Operator, ProductSpace, StateVector, apply,
                             basis_state, identity, tensor_product)
 from ssrqec.klcore import CodeSpace, ErrorSet, kl_check
-from ssrqec.qcdcode import (DEFAULTS, MomentumGrid, apply_scattering_error,
+from ssrqec.qcdcode import (LAMBDA_QCD, M_PI, M_W, MomentumGrid,
+                            apply_scattering_error,
                             binomial_tail, decode_phase_flip, encode_repetition,
                             logical_error_rate, momentum_project_and_boost,
                             pion_mass, sm_flip_suppression, syndrome_outcomes,
@@ -171,13 +172,13 @@ def test_criterion_5_repetition_pipeline_and_monte_carlo():
 
 def test_criterion_6_rate_models():
     start = time.perf_counter()
-    assert abs(thermal_flip_suppression(DEFAULTS.m_pi / 10)
+    assert abs(thermal_flip_suppression(M_PI / 10)
                - math.exp(-10)) <= 1e-15
-    e = 0.05 * DEFAULTS.lambda_qcd
-    assert (e / DEFAULTS.m_w) ** 2 > math.exp(-DEFAULTS.lambda_qcd / e)
+    e = 0.05 * LAMBDA_QCD
+    assert (e / M_W) ** 2 > math.exp(-LAMBDA_QCD / e)
     t, eps = 23.0, 3.0
-    lhs = math.exp(-eps / t) ** (DEFAULTS.lambda_qcd / eps)
-    assert abs(lhs - math.exp(-DEFAULTS.lambda_qcd / t)) <= 1e-12 * lhs
+    lhs = math.exp(-eps / t) ** (LAMBDA_QCD / eps)
+    assert abs(lhs - math.exp(-LAMBDA_QCD / t)) <= 1e-12 * lhs
     assert abs(pion_mass(3, 3, 3000) - 134.16) <= 0.01
     assert abs(pion_mass(3, 3, 3000) - 140.0) / 140.0 < 0.05
     report(6, "thermal, electroweak, and pion-mass rate models",

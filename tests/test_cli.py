@@ -1159,7 +1159,7 @@ def dense_rotor_rows(params: dict) -> list[list[str]]:
     """``rotor_recovery.csv`` rows as the dense joint-vector run computed them."""
     space = rotor.RotorSpace(params["q_max"])
     charges = tuple(params["logical_charges"])
-    amp = cli._ROTOR_AMP
+    amp = rotor.LOGICAL_AMP
     w1 = helpers.build_codeword(space, space, charges[0], params["profile"], params["w"])
     w2 = helpers.build_codeword(space, space, charges[1], params["profile"], params["w"])
     psi = StateVector(w1.space, amp * w1.amplitudes + amp * w2.amplitudes)

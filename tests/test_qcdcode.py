@@ -15,7 +15,8 @@ from ssrqec import qcdcode
 from ssrqec.hilbert import DensityMatrix, partial_trace
 from ssrqec.klcore import CodeSpace, ErrorSet, kl_check
 from ssrqec.hilbert import Operator, ProductSpace, basis_state
-from ssrqec.qcdcode import (DEFAULTS, AmplitudeTable, MomentumGrid,
+from ssrqec.qcdcode import (LAMBDA_QCD, M_PI, M_W, AmplitudeTable,
+                            MomentumGrid,
                             RepetitionState, SyndromeResult,
                             alpha_decomposition, apply_scattering_error,
                             binomial_tail, decode_phase_flip, encode_repetition,
@@ -57,7 +58,7 @@ class TestRateModels:
         assert pion_mass(3, 4, 3000) > base
 
     def test_thermal_suppression_value(self):
-        t = DEFAULTS.m_pi / 10
+        t = M_PI / 10
         assert thermal_flip_suppression(t) == pytest.approx(math.exp(-10),
                                                             abs=1e-15)
 
@@ -72,17 +73,17 @@ class TestRateModels:
     def test_exponent_identity(self):
         # (e^{-eps/T})^{m_pi/eps} = e^{-m_pi/T}
         t, eps = 37.0, 3.0
-        lhs = math.exp(-eps / t) ** (DEFAULTS.m_pi / eps)
+        lhs = math.exp(-eps / t) ** (M_PI / eps)
         assert lhs == pytest.approx(thermal_flip_suppression(t), rel=1e-12)
 
     def test_sm_suppression_electroweak_dominates_at_low_e(self):
-        e = 0.05 * DEFAULTS.lambda_qcd
+        e = 0.05 * LAMBDA_QCD
         val = sm_flip_suppression(e)
-        assert val == pytest.approx((e / DEFAULTS.m_w) ** 2)
-        assert (e / DEFAULTS.m_w) ** 2 > math.exp(-DEFAULTS.lambda_qcd / e)
+        assert val == pytest.approx((e / M_W) ** 2)
+        assert (e / M_W) ** 2 > math.exp(-LAMBDA_QCD / e)
 
     def test_sm_crossover_energy_location(self):
-        lam, mw = DEFAULTS.lambda_qcd, DEFAULTS.m_w
+        lam, mw = LAMBDA_QCD, M_W
         f = lambda e: math.exp(-lam / e) - (e / mw) ** 2
         lo, hi = 0.05 * lam, lam
         assert f(lo) < 0 < f(hi)
@@ -95,10 +96,10 @@ class TestRateModels:
         assert 0.05 * lam < lo < lam
 
     def test_sm_suppression_floor_above_lambda(self):
-        assert sm_flip_suppression(DEFAULTS.lambda_qcd) >= math.exp(-1)
+        assert sm_flip_suppression(LAMBDA_QCD) >= math.exp(-1)
 
     def test_sm_suppression_monotone_up_to_lambda(self):
-        es = np.linspace(1.0, DEFAULTS.lambda_qcd, 100)
+        es = np.linspace(1.0, LAMBDA_QCD, 100)
         vals = [sm_flip_suppression(e) for e in es]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 

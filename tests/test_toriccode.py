@@ -750,6 +750,17 @@ class TestCommutationExponentsExact:
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("n", [10 ** 9 + 7, 2 ** 31 - 1])
+    def test_inexact_n_refused(self, n):
+        # 36 columns times (N - 1)^2 passes 2^53: the float64 sums would round
+        with pytest.raises(ValueError, match="too large"):
+            ssr_exact_zero_check(TorusLattice(3, n))
+
+    def test_large_exact_n_certifies(self):
+        lat = TorusLattice(3, 10 ** 7)          # 36 (N - 1)^2 < 2^53
+        assert ssr_exact_zero_check(lat, 2) is True
+        assert ssr_exact_zero_check(lat, 3) is False
+
 
 KL_DISTANCE_CASES = [(n, l, w) for n in (2, 3, 4) for l in (2, 3, 4) for w in (1, 2)
                      if kl_guard(TorusLattice(l, n), w) is None]
