@@ -255,8 +255,8 @@ def _plan_xsec(params: dict):
 
 def _run_xsec(planned, outdir: Path, seed: Optional[int]) -> list[tuple[str, str]]:
     from . import scatter
-    rows = [[res.e_cm, res.sigma, res.above_threshold]
-            for res in scatter.sigma_tot_grid(*planned)]
+    sigma, above = scatter.sigma_tot_grid(*planned)
+    rows = zip(planned[0].tolist(), sigma.tolist(), above.tolist())
     return [_write_csv(outdir / "cross_section.csv",
                        ["e_cm_mev", "sigma_mev^-2", "above_threshold"], rows)]
 

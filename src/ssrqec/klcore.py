@@ -117,21 +117,23 @@ def violations_to_json(violations) -> list[dict]:
 def report_from_elements(m: np.ndarray, tol: float) -> KLReport:
     """Build a KLReport from M[a, b, i, j] = <j|E_b^dag E_a|i>.
 
-    Besides M it holds |M - C delta_ij| as floats (half an M), a bool mask
-    and 8 B per violating element.
+    Besides M and C it holds 24 B per element at most: first |M - C delta_ij|
+    as floats, then for each violating element its index, its negated
+    deviation and its rank.
     """
     k = m.shape[2]
     c = np.einsum("abii->ab", m) / k
-    diag = np.arange(k)
     absdev = np.abs(m)
-    absdev[:, :, diag, diag] = np.abs(m[:, :, diag, diag] - c[:, :, None])
+    np.abs(np.einsum("abii->abi", m) - c[:, :, None],     # the diagonals, as views
+           out=np.einsum("abii->abi", absdev))
     max_violation = float(absdev.max())
     satisfied = max_violation <= tol
     violations = []
     if not satisfied:
-        absdev = absdev.reshape(-1)
         idx = np.flatnonzero(absdev > tol)
-        order = np.argsort(-absdev[idx])
+        ranked = absdev.reshape(-1)[idx]
+        del absdev  # so M, idx, ranked and order are 40 B per element at most
+        order = np.argsort(np.negative(ranked, out=ranked))
         for flat in idx[order[:MAX_RECORDED_VIOLATIONS]]:
             a, b, i, j = (int(x) for x in np.unravel_index(flat, m.shape))
             dev = m[a, b, i, j] - c[a, b] if i == j else m[a, b, i, j]
@@ -157,17 +159,29 @@ def kl_check(code: CodeSpace, errors: ErrorSet, tol: float = DEFAULT_KL_TOL) -> 
     return kl_check_from_applied(rows, tol)
 
 
+def dense_kl_bytes(n_errors: int, n_codewords: int, dim: int) -> int:
+    """Bytes the dense KL kernel (``kl_check_from_applied`` and
+    ``report_from_elements``) holds at most on E errors applied to K
+    codewords of dimension D, in closed form: the E K applied rows twice
+    (the array and its conjugate in the Gram product), 48 B per element of
+    the (E K)^2 Gram and the E x E matrix C.  Per Gram element the kernel
+    holds 32 B (the Gram and M), then at most 40 B (M and what
+    ``report_from_elements`` adds); the other 8 B are headroom, so a check
+    whose elements all violate KL peaks at about 0.85 of this."""
+    rows = n_errors * n_codewords
+    return 32 * rows * dim + 48 * rows ** 2 + 16 * n_errors ** 2
+
+
 def kl_check_bytes(n_codewords: int, n_errors: int, dim: int) -> int:
     """Bytes a kl-check run of E errors on K codewords of dimension D holds
-    at most, in closed form: the D x D operators (twice while one is parsed),
-    the E K applied rows twice (the array and its conjugate in the Gram
-    product) plus one error's product, 128 B per element of the (E K)^2
-    Gram (the Gram, M, |M - C delta_ij| and the indices of violating
-    elements) and 96 B per entry of the E x E matrix C as floats and JSON
-    text.  Tracemalloc peaks of ``cli.run`` come to about 200 B per C entry
-    at K = 1."""
+    at most, in closed form: the parsed D x D operators (two more while one
+    is parsed, and about 0.5 KiB of Python objects each), then the larger of
+    the dense kernel (``dense_kl_bytes``) and the report it leaves: C as
+    floats and JSON text, about 220 B per entry in ``cli.run`` tracemalloc
+    peaks, and 1 KiB per recorded violation.  The two never coexist."""
     e, k, d = n_errors, n_codewords, dim
-    return 16 * (e + 1) * d * d + 32 * (e + 1) * d * k + 128 * (e * k) ** 2 + 96 * e * e
+    report = 224 * e * e + 1024 * MAX_RECORDED_VIOLATIONS
+    return 16 * (e + 2) * d * d + 512 * e + max(dense_kl_bytes(e, k, d), report)
 
 
 def kl_check_from_applied(rows: np.ndarray, tol: float = DEFAULT_KL_TOL) -> KLReport:

@@ -287,8 +287,9 @@ def momentum_project_and_boost(branches: Sequence[ScatterBranch],
     """Select one momentum branch, boost the particle back to momentum 0.
 
     Returns (k', post-state at common momentum, branch probability).  The
-    boost is index relabeling on the discrete grid; the environment label
-    is discarded afterwards (separability assumption).
+    branch is ``outcome`` if given, else drawn with ``rng``; with neither,
+    ValueError.  The boost is index relabeling on the discrete grid; the
+    environment label is discarded afterwards (separability assumption).
     """
     weights = np.array([b.weight for b in branches])
     total = weights.sum()
@@ -300,9 +301,9 @@ def momentum_project_and_boost(branches: Sequence[ScatterBranch],
         if not matches or probs[matches[0]] < 1e-15:
             raise ValueError(f"branch k' = {outcome} has vanishing probability")
         idx = matches[0]
+    elif rng is None:
+        raise ValueError("drawing a branch needs an rng (or an outcome)")
     else:
-        if rng is None:
-            rng = np.random.default_rng()
         idx = int(rng.choice(len(branches), p=probs))
     b = branches[idx]
     momenta = list(b.state.momenta)
@@ -345,13 +346,10 @@ def syndrome_outcomes(state: RepetitionState
     return out
 
 
-def measure_syndrome(state: RepetitionState,
-                     rng: Optional[np.random.Generator] = None
+def measure_syndrome(state: RepetitionState, rng: np.random.Generator
                      ) -> tuple[SyndromeResult, RepetitionState]:
     """Projectively measure the n-1 parity checks; collapse accordingly."""
     outcomes = syndrome_outcomes(state)
-    if rng is None:
-        rng = np.random.default_rng()
     probs = np.array([p for (_, p, _) in outcomes])
     idx = int(rng.choice(len(outcomes), p=probs / probs.sum()))
     syndrome, _, post = outcomes[idx]
@@ -372,8 +370,8 @@ def decode_phase_flip(state: RepetitionState, syndrome: SyndromeResult
 
 
 def recovery_cycle(state: RepetitionState, particle: int, table: AmplitudeTable,
-                   s: str, k: int, branch_outcome: Optional[int] = None,
-                   rng: Optional[np.random.Generator] = None
+                   s: str, k: int, rng: np.random.Generator,
+                   branch_outcome: Optional[int] = None
                    ) -> tuple[int, SyndromeResult, RepetitionState]:
     """encode-side error, momentum projection, syndrome, decode, in one pass."""
     branches = apply_scattering_error(state, particle, table, s, k)

@@ -348,15 +348,22 @@ def spin_summed_amp2_grid(e_cm, cos_theta, masses: tuple[float, float, float, fl
 # Cross-section
 
 
+def _require_zero_below(sigma, above) -> None:
+    """theta(0) = 0: sigma must be exactly 0.0 wherever ``above`` is False."""
+    if np.any(np.asarray(sigma)[~np.asarray(above)] != 0.0):
+        raise ValueError("sigma must be exactly 0 below threshold")
+
+
 @dataclass(frozen=True)
 class CrossSectionResult:
+    """One energy of the scalar oracle ``sigma_tot``."""
+
     sigma: float           # MeV^-2
     above_threshold: bool
     e_cm: float
 
     def __post_init__(self):
-        if not self.above_threshold and self.sigma != 0.0:
-            raise ValueError("sigma must be exactly 0 below threshold")
+        _require_zero_below(self.sigma, self.above_threshold)
 
 
 def _quadrature(e: np.ndarray, masses: tuple[float, float, float, float],
@@ -421,8 +428,10 @@ def sigma_tot(e_cm: float, masses: tuple[float, float, float, float],
 
 def sigma_tot_grid(e_values, masses: tuple[float, float, float, float],
                    g1: float, g2: float, lam: float, n_theta: int = 64
-                   ) -> list[CrossSectionResult]:
-    """sigma_tot with make_amp2's |A|^2 for every energy of a sweep.
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """sigma_tot with make_amp2's |A|^2 for every energy of a sweep, as the
+    columns (sigma, above): float64 sigma and the bool threshold flag, in
+    energy order, with sigma exactly 0.0 wherever the flag is False.
 
     Energies above threshold go through spin_summed_amp2_grid in chunks of
     GRID_CHUNK_ROWS // n_theta energies (at least one).  Each energy's
@@ -437,17 +446,18 @@ def sigma_tot_grid(e_values, masses: tuple[float, float, float, float],
         integral[sl] = _weighted_sum(weights, amp2.T)
     sigma = np.zeros(e.shape)
     sigma[above] = prefactor * integral
-    return [CrossSectionResult(float(s), bool(a), float(x))
-            for x, s, a in zip(e, sigma, above)]
+    _require_zero_below(sigma, above)
+    return sigma, above
 
 
 def sweep_bytes(steps: int, n_theta: int) -> int:
     """Bytes an xsec run of ``steps`` energies holds at most, in closed form:
     one chunk of GRID_CHUNK_ROWS (energy, node) rows at 1 KiB a row, two
-    n_theta x n_theta doubles for the nodes, and 512 B per energy for its
-    result, CSV row and text (its tracemalloc peak grows by about 250 B and
-    its max RSS by about 400 B per energy)."""
-    return 1024 * GRID_CHUNK_ROWS + 16 * n_theta ** 2 + 512 * steps
+    n_theta x n_theta doubles for the nodes, and 256 B per energy for its
+    columns, their Python floats and the CSV text (at 4 10^5 steps its
+    tracemalloc peak holds about 150 B, and at 10^6 its max RSS about 145 B,
+    per energy)."""
+    return 1024 * GRID_CHUNK_ROWS + 16 * n_theta ** 2 + 256 * steps
 
 
 def check_energies(e_values, masses: tuple[float, float, float, float],

@@ -110,6 +110,13 @@ class PauliArray:
         return self.xz.shape[0]
 
 
+def _require_on(lat: TorusLattice, errors: PauliArray) -> None:
+    """ValueError unless ``errors`` are rows of 2 n_edges powers mod ``lat.n``."""
+    if errors.n != lat.n or errors.xz.shape[1:] != (2 * lat.n_edges,):
+        raise ValueError(f"errors with N = {errors.n} and rows {errors.xz.shape[1:]} "
+                         f"do not act on the N = {lat.n}, l = {lat.l} lattice")
+
+
 def commutation_exponents(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """c[i, j] with a_i b_j = w^c b_j a_i, for xz rows a and b; one matmul mod N.
     The matmul runs in float64 (BLAS); for rows reduced mod N its sums stay
@@ -378,6 +385,7 @@ def enumerate_pauli_errors(lat: TorusLattice, max_weight: int) -> PauliArray:
 def kl_check_paulis(gs: GroundSpace, errors: PauliArray) -> KLReport:
     """Dense KL check, at KL_TOL, of a Pauli error set against a ground-space basis."""
     lat, b = gs.lattice, gs.basis
+    _require_on(lat, errors)
     check_budget(kl_check_paulis_bytes(lat, len(errors)), "the dense KL check")
     rows = np.empty((len(errors), b.shape[1], b.shape[0]), dtype=np.complex128)
     for a, (xz, phase) in enumerate(zip(errors.xz, errors.phase)):
@@ -387,12 +395,11 @@ def kl_check_paulis(gs: GroundSpace, errors: PauliArray) -> KLReport:
 
 def kl_check_paulis_bytes(lat: TorusLattice, n_errors: int) -> int:
     """Bytes ``kl_check_paulis`` holds at most on the sector basis, in closed
-    form: the E K applied rows of dimension D twice (the array and its
-    conjugate in the Gram product), the copies ``apply_pauli`` makes of the
-    basis, and 120 B per element of the (E K)^2 Gram (the Gram, M,
-    |M - C delta_ij| and the indices of violating elements)."""
-    dk, ek = lat.dim * lat.n ** 2, n_errors * lat.n ** 2
-    return 32 * n_errors * dk + 48 * dk + 120 * ek ** 2
+    form: what the dense kernel holds (``klcore.dense_kl_bytes``) plus the
+    copies ``apply_pauli`` makes of the K = N^2 basis columns of dimension D
+    (two at a time, and its phase tables)."""
+    k = lat.n ** 2
+    return klcore.dense_kl_bytes(n_errors, k, lat.dim) + 48 * lat.dim * k
 
 
 class SyndromeKLReport:
@@ -433,8 +440,10 @@ def kl_check_errors(lat: TorusLattice, errors: PauliArray,
     arithmetic; each error's syndrome row is one byte-string key
     (``class_ids``), so one 1-D ``np.unique`` numbers the classes in
     lexicographic syndrome order.  One stable sort groups the errors by class,
-    and each class's block is a slice of it and of C.
+    and each class's block is a slice of it and of C.  Errors on another N or
+    another number of edges raise ValueError.
     """
+    _require_on(lat, errors)
     n, k = lat.n, lat.n * lat.n
     cls = class_ids(commutation_exponents(errors.xz, _stabilizer_rows(lat), n), n)
     logical = commutation_exponents(errors.xz, _logical_probes(lat), n)

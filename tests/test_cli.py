@@ -1247,14 +1247,19 @@ class TestSizeGuards:
         assert peak < 2 ** 20
 
     @pytest.mark.parametrize("n_errors, dim, n_codewords", [(200, 1, 1), (40, 8, 2),
-                                                            (12, 16, 4)])
+                                                            (12, 16, 4), (200, 16, 4)])
     def test_kl_check_peak_within_prediction(self, tmp_path, n_errors, dim, n_codewords):
         config = random_kl_config(n_errors, dim, n_codewords)
         cli.run(config, str(tmp_path))  # first call: imports
         assert traced_peak(config, tmp_path) <= klcore.kl_check_bytes(
             n_codewords, n_errors, dim)
 
-    @pytest.mark.parametrize("steps, n_theta", [(1, 2048), (3000, 16), (30000, 2)])
+    @pytest.mark.parametrize("steps, n_theta", [(1, 2048), (3000, 16), (30000, 2),
+                                                (100_000, 2)])
     def test_xsec_peak_within_prediction(self, tmp_path, steps, n_theta):
         config = xsec_config(steps=steps, n_theta=n_theta)
         assert traced_peak(config, tmp_path) <= scatter.sweep_bytes(steps, n_theta)
+
+    def test_xsec_guard_admits_what_fits(self):
+        # 4 10^6 energies fit the budget at 256 B each; 10^7 (SIZE_REFUSED) do not
+        assert cli.validate(xsec_config(steps=4 * 10 ** 6, n_theta=2)) == []

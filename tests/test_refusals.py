@@ -122,6 +122,10 @@ QCDCODE = {
         lambda: qcdcode.momentum_project_and_boost(
             [qcdcode.ScatterBranch(0, 0, 0.0, STATE3)], 0),
         ValueError, "all branches have zero weight"),
+    "branch drawn without rng": (
+        lambda: qcdcode.momentum_project_and_boost(
+            [qcdcode.ScatterBranch(0, 0, 1.0, STATE3)], 0),
+        ValueError, "needs an rng"),
     "syndrome entries": (lambda: qcdcode.SyndromeResult((1, 0)), ValueError,
                          "entries must be +/-1"),
     "syndrome length": (

@@ -347,10 +347,36 @@ class TestCrossSectionGrid:
         n_theta = 64
         assert -(-600 // (GRID_CHUNK_ROWS // n_theta)) == 3
         e = np.linspace(1100.0, 1400.0, 600)
-        grid = sigma_tot_grid(e, self.LIGHT, 0.6, 0.9, 1.1, n_theta)
-        for x, res in zip(e, grid):
-            alone = sigma_tot_grid([x], self.LIGHT, 0.6, 0.9, 1.1, n_theta)[0]
-            assert res.sigma == alone.sigma
+        grid, _ = sigma_tot_grid(e, self.LIGHT, 0.6, 0.9, 1.1, n_theta)
+        for x, sigma in zip(e, grid):
+            alone, _ = sigma_tot_grid([x], self.LIGHT, 0.6, 0.9, 1.1, n_theta)
+            assert sigma == alone[0]
+
+    # energies on both sides of the initial (948.3) and final (1079.2 MeV)
+    # thresholds, and exactly at each
+    EDGES = (LIGHT[0] + LIGHT[1], LIGHT[2] + LIGHT[3],
+             math.nextafter(LIGHT[2] + LIGHT[3], math.inf))
+
+    @settings(max_examples=30, deadline=None)
+    @given(e=st.lists(st.floats(940.0, 1400.0) | st.sampled_from(EDGES),
+                      min_size=1, max_size=6),
+           couplings=st.tuples(*[st.just(0.0) | st.floats(-2.0, 2.0)] * 3),
+           n_theta=st.sampled_from([2, 7, 16]))
+    def test_columns_match_scalar_oracle(self, e, couplings, n_theta):
+        m1, m2, m3, m4 = self.LIGHT
+        e = np.array(e)
+        if np.any(e <= m1 + m2):
+            with pytest.raises(ValueError, match="initial state"):
+                sigma_tot_grid(e, self.LIGHT, *couplings, n_theta)
+            return
+        sigma, above = sigma_tot_grid(e, self.LIGHT, *couplings, n_theta)
+        assert sigma.dtype == np.float64 and above.dtype == np.bool_
+        np.testing.assert_array_equal(above, e > m3 + m4)
+        assert sigma[~above].tobytes() == bytes(8 * np.count_nonzero(~above))
+        for x, s in zip(e.tolist(), sigma.tolist()):
+            amp2 = make_amp2(x, self.LIGHT, *couplings)
+            ref = sigma_tot(x, self.LIGHT, amp2, n_theta).sigma
+            assert s == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     def test_peak_memory_bounded_by_chunking(self):
         bound = 64 * 2 ** 20

@@ -583,6 +583,24 @@ class TestSyndromeClassKl:
             np.testing.assert_array_equal(e1, e2)
             np.testing.assert_array_equal(c1, c2)
 
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_errors_on_another_n_refused(self, n):
+        # enumerated at (l, N) = (2, 3) but labelled N = n; unchecked, N = 2
+        # changes 12 of 545 C blocks and N = 4 indexes past the phase roots
+        errors = enumerate_pauli_errors(LAT23, 2)
+        relabelled = PauliArray(errors.xz, errors.phase, n)
+        with pytest.raises(ValueError, match="do not act on"):
+            kl_check_errors(LAT23, relabelled)
+        with pytest.raises(ValueError, match="do not act on"):
+            kl_check_paulis(ground_space(LAT23), relabelled)
+
+    def test_rows_of_another_lattice_refused(self):
+        errors = enumerate_pauli_errors(LAT32, 1)   # N = 2, but 2 * 18 columns
+        with pytest.raises(ValueError, match="do not act on"):
+            kl_check_errors(LAT22, errors)
+        with pytest.raises(ValueError, match="do not act on"):
+            kl_check_paulis(ground_space(LAT22), errors)
+
     def test_loose_tolerance_records_nothing(self):
         report = kl_check_toric(LAT22, 1, tol=1.0)
         assert report.satisfied and report.max_violation == 1.0
