@@ -265,9 +265,7 @@ def _plan_toric(params: dict):
     from . import toriccode
     lat = toriccode.TorusLattice(params["l"], params["n"])
     max_weight = params.get("max_weight", 1)
-    refusal = toriccode.kl_guard(lat, max_weight)
-    if refusal:
-        raise GuardExceededError(refusal)
+    toriccode.kl_guard(lat, max_weight)
     return lat, max_weight, params.get("tol", toriccode.KL_TOL)
 
 

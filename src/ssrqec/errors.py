@@ -1,5 +1,6 @@
 """Exceptions raised by the domain modules and caught by the CLI, and the
-one memory budget every size guard checks its closed form of bytes against.
+one memory budget: every size guard calls ``check_budget`` on a closed form
+of the bytes it would hold, which raises before anything is allocated.
 
 Importing this module loads no domain module; ``toriccode`` and
 ``scatter`` re-export the classes under their old names.
@@ -17,16 +18,8 @@ class PropagatorPoleError(ArithmeticError):
     """Kinematics too close to the intermediate-state pole."""
 
 
-def budget_refusal(need: int, what: str) -> str | None:
-    """Why ``what``, which would hold ``need`` bytes, is refused, or None
-    when that fits ``MEMORY_BUDGET``."""
-    if need > MEMORY_BUDGET:
-        return (f"{what} needs {need / 2 ** 20:.0f} MiB and exceeds the "
-                f"{MEMORY_BUDGET / 2 ** 20:.0f} MiB budget")
-    return None
-
-
 def check_budget(need: int, what: str) -> None:
     """GuardExceededError when ``what`` would hold more than ``MEMORY_BUDGET`` bytes."""
-    if refusal := budget_refusal(need, what):
-        raise GuardExceededError(refusal)
+    if need > MEMORY_BUDGET:
+        raise GuardExceededError(f"{what} needs {need / 2 ** 20:.0f} MiB and exceeds the "
+                                 f"{MEMORY_BUDGET / 2 ** 20:.0f} MiB budget")

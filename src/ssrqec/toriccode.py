@@ -13,9 +13,9 @@ one rule: errors with the same syndrome must share their logical powers
 (Knill-Laflamme, quant-ph/9604034; Gottesman, quant-ph/9705052).  The
 stabilizer and Wilson-loop probe rows come from index arithmetic over all
 vertices at once, each error's syndrome is one byte-string key, and C is
-kept as one block per syndrome class, sliced from one sorted order.  The
-bytes the check holds, predicted from the error count, are checked against
-``errors.MEMORY_BUDGET`` before anything is enumerated.
+kept as one block per syndrome class, sliced from one sorted order.  Each
+guard raises through ``errors.check_budget`` on a closed form of the bytes
+it holds (``kl_guard``: ``kl_check_bytes``), before anything is built.
 
 ``ssr_exact_zero_check`` certifies, enumerating nothing, that no Pauli
 below the code distance is logical: each Wilson-loop probe has l disjoint
@@ -57,10 +57,9 @@ import numpy as np
 
 from . import klcore
 from ._rowkeys import class_ids
-from .errors import GuardExceededError, budget_refusal, check_budget
+from .errors import GuardExceededError, check_budget
 from .klcore import KLReport
 
-DEFAULT_ERROR_CAP = 10_000
 KL_TOL = 1e-9  # the dense check's tolerance; the symbolic check's default
 MAX_ENUM_WEIGHT = 2
 # At most KL_ROW_COPIES copies of the symbolic KL check's xz rows and
@@ -355,27 +354,28 @@ def _weight_chunks(lat: TorusLattice, weight: int,
         yield rows.reshape(-1, 2 * m)
 
 
-def _enumeration_refusal(lat: TorusLattice, max_weight: int) -> Optional[str]:
+def _check_weight(max_weight: int) -> None:
     if max_weight > MAX_ENUM_WEIGHT:
-        return f"error enumeration capped at weight {MAX_ENUM_WEIGHT}"
-    count = error_count(lat, max_weight)
-    if count > DEFAULT_ERROR_CAP:
-        return f"error count {count} exceeds cap {DEFAULT_ERROR_CAP}"
-    return None
+        raise GuardExceededError(f"error enumeration capped at weight {MAX_ENUM_WEIGHT}")
 
 
 def enumerate_pauli_errors(lat: TorusLattice, max_weight: int) -> PauliArray:
     """Identity plus all qudit Paulis of weight <= max_weight, phase 0."""
     if max_weight < 1:
         raise ValueError("max_weight must be >= 1")
-    refusal = _enumeration_refusal(lat, max_weight)
-    if refusal:
-        raise GuardExceededError(refusal)
+    _check_weight(max_weight)
+    check_budget(enumeration_bytes(lat, max_weight), "the error enumeration")
     count = error_count(lat, max_weight)
     xz = np.vstack([np.zeros((1, 2 * lat.n_edges), dtype=np.int64)]
                    + [rows for w in range(1, max_weight + 1)
                       for rows in _weight_chunks(lat, w, count)])
     return PauliArray(xz, np.zeros(count, dtype=np.int64), lat.n)
+
+
+def enumeration_bytes(lat: TorusLattice, max_weight: int) -> int:
+    """Bytes ``enumerate_pauli_errors`` holds at most: its int64 rows twice
+    (chunks, then stacked), 8 B more per error, and 16 KiB of small tables."""
+    return (32 * lat.n_edges + 8) * error_count(lat, max_weight) + 2 ** 14
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +447,7 @@ def kl_check_errors(lat: TorusLattice, errors: PauliArray,
     n, k = lat.n, lat.n * lat.n
     cls = class_ids(commutation_exponents(errors.xz, _stabilizer_rows(lat), n), n)
     logical = commutation_exponents(errors.xz, _logical_probes(lat), n)
-    code = logical @ n ** np.arange(4)          # the logical powers as one int
+    code = class_ids(logical, n)                # one id per distinct logical powers
     members = np.argsort(cls, kind="stable")    # grouped by class, ascending
     sizes = np.bincount(cls)
     start = np.cumsum(sizes) - sizes
@@ -476,12 +476,12 @@ def kl_check_errors(lat: TorusLattice, errors: PauliArray,
         pairs += [(anchor, b) for b in group[code[group] != code[anchor]]]
     a, b = np.array(pairs[:need], dtype=np.intp).reshape(-1, 2).T
     gamma, delta, alpha, beta = ((logical[a] - logical[b]) % n).T[:, :, None]
-    s, t = np.divmod(np.arange(k), n)
+    s, t = np.divmod(np.arange(min(k, klcore.MAX_RECORDED_VIOLATIONS)), n)
     expo = (pair_phases(errors, a, b)[:, None]
             + 2 * (gamma * s + beta * (t - delta))) % (2 * n)
     target = ((s + alpha) % n) * n + (t - delta) % n
     violations = [(int(a[p]), int(b[p]), i, int(target[p, i]), complex(roots[expo[p, i]]))
-                  for p in range(len(a)) for i in range(k)]
+                  for p in range(len(a)) for i in range(len(s))]
     return SyndromeKLReport(len(errors), c_blocks, max_violation,
                             tuple(violations[:klcore.MAX_RECORDED_VIOLATIONS]),
                             max_violation <= tol, tol)
@@ -498,20 +498,16 @@ def kl_check_bytes(lat: TorusLattice, max_weight: int) -> int:
             + min(count ** 2, KL_PAIR_CHUNK) * (32 * lat.n_edges + 256))
 
 
-def kl_guard(lat: TorusLattice, max_weight: int) -> Optional[str]:
-    """Why ``kl_check_toric`` would refuse this size, or None if it fits."""
-    refusal = _enumeration_refusal(lat, max_weight)
-    if refusal:
-        return refusal
-    return budget_refusal(kl_check_bytes(lat, max_weight), "the KL check")
+def kl_guard(lat: TorusLattice, max_weight: int) -> None:
+    """GuardExceededError when ``kl_check_toric`` would refuse this size."""
+    _check_weight(max_weight)
+    check_budget(kl_check_bytes(lat, max_weight), "the KL check")
 
 
 def kl_check_toric(lat: TorusLattice, max_weight: int,
                    tol: float = KL_TOL) -> SyndromeKLReport:
     """Exact KL check of all Paulis of weight <= max_weight on the sector basis."""
-    refusal = kl_guard(lat, max_weight)
-    if refusal:
-        raise GuardExceededError(refusal)
+    kl_guard(lat, max_weight)
     return kl_check_errors(lat, enumerate_pauli_errors(lat, max_weight), tol)
 
 
@@ -533,13 +529,14 @@ def ssr_exact_zero_check(lat: TorusLattice, max_weight: Optional[int] = None
     and have weight l (Kitaev, quant-ph/9707021; Dennis et al.,
     quant-ph/0110143).  So the answer is max_weight < l, and a failed check
     is an invariant breach that raises RuntimeError.  An N too large for
-    exact ``commutation_exponents`` raises ValueError.  The cost is set by the
-    dense ``_stabilizer_rows``, which grow as l^4: on a 2-vCPU VM, 0.3 ms at
-    (l, N) = (6, 2) and 25 ms with a 32 MiB tracemalloc peak at (20, 5).
+    exact ``commutation_exponents`` raises ValueError.  The dense
+    ``_stabilizer_rows`` (guarded by ``ssr_check_bytes``) set the cost as l^4:
+    on 2 vCPUs, 0.3 ms at (l, N) = (6, 2), 25 ms and a 32 MiB peak at (20, 5).
     """
     w = lat.l - 1 if max_weight is None else max_weight
     if w < 0:
         raise ValueError("max_weight must be >= 0")
+    check_budget(ssr_check_bytes(lat), "the SSR certificate")
     l, m = lat.l, lat.n_edges
     rows = _probe_translates(lat)
     flat = rows.reshape(4 * l, 2 * m)
@@ -551,3 +548,9 @@ def ssr_exact_zero_check(lat: TorusLattice, max_weight: Optional[int] = None
     if (powers != powers[:, :1]).any() or not powers[:, 0].any(axis=1).all():
         raise RuntimeError("a probe translate lacks its probe's nonzero logical powers")
     return bool(w < l)
+
+
+def ssr_check_bytes(lat: TorusLattice) -> int:
+    """Bytes ``ssr_exact_zero_check`` holds at most: three 8-byte copies of the
+    (2 l^2, 4 l^2) stabilizer rows, the probe translates, and 64 KiB."""
+    return 192 * lat.l ** 4 + 384 * lat.l ** 3 + 2 ** 16

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -21,7 +22,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ssrqec import cli, klcore, rotor, scatter
+from ssrqec import cli, klcore, rotor, scatter, toriccode
+from ssrqec.errors import MEMORY_BUDGET
 from ssrqec.hilbert import (ProductSpace, StateVector, apply, basis_state,
                             identity, operator_to_json, tensor_product,
                             vector_to_json)
@@ -64,8 +66,10 @@ def rotor_config(**overrides):
 
 # Configs that run would refuse inside sigma_tot_grid: an initial state
 # below m1 + m2, an energy above threshold within the pole guard, and k1
-# off shell by rounding at E = 10^6 MeV.
+# off shell by rounding at E = 10^6 MeV; and an energy range the plan
+# refuses because it runs backwards.
 XSEC_REFUSED = {
+    "e_cm_min must not exceed e_cm_max": xsec_config(e_cm_min=1500.0),
     "initial state": xsec_config(e_cm_min=900.0),
     "pole guard": xsec_config(masses=[938.3, 0.0, 1.0, 1.0], e_cm_min=938.3001,
                               e_cm_max=938.3002, steps=3),
@@ -197,13 +201,27 @@ class TestValidate:
         assert len(diags) == 1 and reason in diags[0]
 
     def test_toric_guard_diagnostic(self):
-        # guard on the bytes the KL check holds, the error cap and the weight
+        # guard on the bytes the KL check holds (at 16 E^2 bytes or more, it
+        # refuses every count above 8 192 errors) and on the weight
         for params in ({"n": 3, "l": 3, "max_weight": 2},
                        {"n": 2, "l": 5, "max_weight": 2},
                        {"n": 4, "l": 3, "max_weight": 2},
                        {"n": 2, "l": 2, "max_weight": 3}):
             cfg = {"experiment": "toric", "params": params}
             assert any("guard" in d for d in cli.validate(cfg)), params
+
+    def test_toric_refusals_match_count_and_bytes_rule(self):
+        # the guard refuses exactly what the weight cap, a 10 000-error cap and
+        # the bytes bound refuse together: the bytes bound implies the count cap
+        refused = 0
+        for n, l, w in itertools.product(range(2, 9), range(2, 11), range(1, 4)):
+            lat = toriccode.TorusLattice(l, n)
+            rule = (w > 2 or toriccode.error_count(lat, w) > 10_000
+                    or toriccode.kl_check_bytes(lat, w) > MEMORY_BUDGET)
+            cfg = {"experiment": "toric", "params": {"n": n, "l": l, "max_weight": w}}
+            assert bool(cli.validate(cfg)) is rule, (n, l, w)
+            refused += rule
+        assert refused == 126
 
     def test_toric_guard_admits_large_lattice(self):
         cfg = {"experiment": "toric", "params": {"n": 3, "l": 3}}
@@ -683,6 +701,12 @@ class TestLazyImports:
             "                  scatter.PropagatorPoleError is errors.PropagatorPoleError]))\n")
         assert names == sorted(DOMAIN_MODULES | {"cli", "errors"})
         assert same_errors == [True, True]
+
+    def test_dir_lists_all_and_loads_nothing(self):
+        import ssrqec
+        loaded = set(sys.modules)
+        assert set(ssrqec.__all__) <= set(dir(ssrqec))
+        assert set(sys.modules) == loaded
 
     def test_unknown_attribute_raises_attribute_error(self):
         import ssrqec

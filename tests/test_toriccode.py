@@ -16,14 +16,14 @@ from ssrqec.hilbert import Operator, ProductSpace, StateVector
 from ssrqec.toriccode import (GroundSpace, GuardExceededError, PauliArray,
                               TorusLattice, _logical_probes,
                               _stabilizer_rows, _weight_chunks, apply_pauli,
-                              commutation_exponents,
-                              enumerate_pauli_errors, error_count,
+                              commutation_exponents, enumerate_pauli_errors,
+                              enumeration_bytes, error_count,
                               ground_space, ground_space_bytes, kl_check_bytes,
                               kl_check_errors, kl_check_paulis,
                               kl_check_paulis_bytes, kl_check_toric, kl_guard,
                               pair_phases, sector_basis,
-                              sector_labels, ssr_exact_zero_check,
-                              wilson_loop)
+                              sector_labels, ssr_check_bytes,
+                              ssr_exact_zero_check, wilson_loop)
 from toric_oracles import (QuditPauli, _rank_mod_p, apply_by_permutation,
                            as_pauli, commutation_exponent, dense_c,
                            kl_elements, logical_mask, loop_by_edge,
@@ -313,8 +313,8 @@ class TestKlChecks:
     def test_weight_guard(self, monkeypatch):
         with pytest.raises(GuardExceededError):
             enumerate_pauli_errors(LAT22, 3)
-        monkeypatch.setattr(toriccode, "DEFAULT_ERROR_CAP", 100)
-        with pytest.raises(GuardExceededError):
+        monkeypatch.setattr("ssrqec.errors.MEMORY_BUDGET", enumeration_bytes(LAT32, 2) - 1)
+        with pytest.raises(GuardExceededError, match="budget"):
             enumerate_pauli_errors(LAT32, 2)
 
 
@@ -502,9 +502,9 @@ class TestSymbolicKl:
         try:
             with pytest.raises(GuardExceededError, match="budget"):
                 kl_check_toric(TorusLattice(3, 3), 2)
-            with pytest.raises(GuardExceededError, match="cap"):
+            with pytest.raises(GuardExceededError, match="budget"):
                 kl_check_toric(TorusLattice(5, 2), 2)
-            with pytest.raises(GuardExceededError, match="cap"):
+            with pytest.raises(GuardExceededError, match="budget"):
                 kl_check_toric(TorusLattice(3, 4), 2)
             with pytest.raises(GuardExceededError, match="weight"):
                 kl_check_toric(LAT22, 3)
@@ -600,6 +600,22 @@ class TestSyndromeClassKl:
             kl_check_errors(LAT22, errors)
         with pytest.raises(ValueError, match="do not act on"):
             kl_check_paulis(ground_space(LAT22), errors)
+
+    @pytest.mark.parametrize("with_loop", [False, True])
+    def test_qudits_past_int64_logical_codes(self, with_loop):
+        # at N = 2^22 a pair has N^2 = 2^44 deviation entries, of which only
+        # MAX_RECORDED_VIOLATIONS are kept; N^3 = 2^66 would wrap int64 to 0
+        # and give M_x, with logical powers (0, 0, 0, 1), the identity's code
+        lat = TorusLattice(2, 2 ** 22)
+        xz = np.zeros((1 + with_loop, 2 * lat.n_edges), dtype=np.int64)
+        xz[1:] = wilson_loop(lat, "x", 1, "magnetic")
+        report = kl_check_errors(lat, PauliArray(xz, np.zeros(len(xz), dtype=np.int64),
+                                                 lat.n))
+        assert report.satisfied is not with_loop
+        assert report.max_violation == float(with_loop)
+        assert [v[:3] for v in report.violations] == \
+            [(0, 1, i) for i in range(MAX_RECORDED_VIOLATIONS * with_loop)]
+        assert all(abs(abs(v[4]) - 1) < 1e-12 for v in report.violations)
 
     def test_loose_tolerance_records_nothing(self):
         report = kl_check_toric(LAT22, 1, tol=1.0)
@@ -716,6 +732,27 @@ class TestDistanceCertificate:
         with pytest.raises(ValueError):
             ssr_exact_zero_check(LAT32, -1)
 
+    def test_guard_refuses_before_allocating(self):
+        # (l, N) = (60, 2): the stabilizer rows alone would be 830 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(GuardExceededError, match="budget"):
+                ssr_exact_zero_check(TorusLattice(60, 2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_peak_within_prediction(self):
+        lat = TorusLattice(20, 5)
+        tracemalloc.start()
+        try:
+            ssr_exact_zero_check(lat)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= ssr_check_bytes(lat)
+
     @pytest.mark.parametrize("change,match", [
         ("overlap", "overlap"), ("detected", "commute"), ("other logical", "powers")])
     def test_broken_translates_raise(self, monkeypatch, change, match):
@@ -780,8 +817,16 @@ class TestCommutationExponentsExact:
         assert ssr_exact_zero_check(lat, 3) is False
 
 
+def kl_fits(lat, w):
+    try:
+        kl_guard(lat, w)
+    except GuardExceededError:
+        return False
+    return True
+
+
 KL_DISTANCE_CASES = [(n, l, w) for n in (2, 3, 4) for l in (2, 3, 4) for w in (1, 2)
-                     if kl_guard(TorusLattice(l, n), w) is None]
+                     if kl_fits(TorusLattice(l, n), w)]
 
 
 @pytest.mark.parametrize("n,l,w", KL_DISTANCE_CASES)
@@ -825,3 +870,24 @@ class TestDenseGuard:
             tracemalloc.stop()
         assert gs_peak <= ground_space_bytes(lat)
         assert kl_peak <= gs.basis.nbytes + kl_check_paulis_bytes(lat, len(errors))
+
+    def test_enumeration_refused_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(GuardExceededError, match="budget"):
+                enumerate_pauli_errors(TorusLattice(2, 60), 2)   # (N, l, w) = (60, 2, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("n,l,w", ORACLE_CASES)
+    def test_enumeration_peak_within_prediction(self, n, l, w):
+        lat = TorusLattice(l, n)
+        tracemalloc.start()
+        try:
+            enumerate_pauli_errors(lat, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= enumeration_bytes(lat, w)
