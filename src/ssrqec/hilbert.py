@@ -1,18 +1,20 @@
-"""Dense complex linear algebra over labeled product spaces.
+"""Dense complex linear algebra over product spaces of finite dimensions.
 
-Everything downstream (code-space checks, rotor protocols, repetition
-pipelines, toric-code brute force) is built on the three value types here:
-``StateVector``, ``Operator`` and ``DensityMatrix``, all living on a
-``ProductSpace`` of finite-dimensional factors.  Index order is row-major
-over factors with the first factor most significant; that convention is
-fixed once here and never revisited.
+The generic KL check (``klcore`` and the ``kl-check`` experiment), the
+rotor's dense objects (``RotorSpace.product_space``, ``ChargeState.dense``
+and ``m_inv``) and the test oracles are built on the three value types
+here: ``StateVector``, ``Operator`` and ``DensityMatrix``, all living on a
+``ProductSpace`` of finite-dimensional factors.  The toric, repetition and
+rotor experiments run without them.  Index order is row-major over factors
+with the first factor most significant; that convention is fixed once
+here and never revisited.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -32,28 +34,19 @@ class ProductSpace:
     """An ordered tensor product of finite-dimensional factors."""
 
     factor_dims: tuple[int, ...]
-    labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.factor_dims)
         object.__setattr__(self, "factor_dims", dims)
         if not dims or any(d < 1 for d in dims):
             raise ValueError(f"every factor dim must be >= 1, got {dims}")
-        if self.labels is not None:
-            labels = tuple(self.labels)
-            if len(labels) != len(dims):
-                raise ValueError("labels must match factor_dims in length")
-            object.__setattr__(self, "labels", labels)
 
     @property
     def dim(self) -> int:
         return int(np.prod(self.factor_dims))
 
     def tensor(self, other: "ProductSpace") -> "ProductSpace":
-        labels = None
-        if self.labels is not None and other.labels is not None:
-            labels = self.labels + other.labels
-        return ProductSpace(self.factor_dims + other.factor_dims, labels)
+        return ProductSpace(self.factor_dims + other.factor_dims)
 
 
 @dataclass(frozen=True)
@@ -75,11 +68,8 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def is_normalized(self) -> bool:
-        return abs(self.norm() ** 2 - 1.0) <= NORM_TOL
-
     def require_normalized(self) -> "StateVector":
-        if not self.is_normalized():
+        if not abs(self.norm() ** 2 - 1.0) <= NORM_TOL:  # NaN fails too
             raise NormalizationError(
                 f"state norm^2 = {self.norm()**2!r} outside tolerance {NORM_TOL}")
         return self
@@ -223,11 +213,7 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
         t = np.trace(t, axis1=i, axis2=m + i)
     kept_dims = tuple(dims[i] for i in keep)
     d_keep = int(np.prod(kept_dims))
-    kept_labels = None
-    if rho.space.labels is not None:
-        kept_labels = tuple(rho.space.labels[i] for i in keep)
-    out_space = ProductSpace(kept_dims, kept_labels)
-    return DensityMatrix(out_space, t.reshape(d_keep, d_keep))
+    return DensityMatrix(ProductSpace(kept_dims), t.reshape(d_keep, d_keep))
 
 
 # ---------------------------------------------------------------------------

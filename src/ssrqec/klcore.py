@@ -13,17 +13,17 @@ system-environment unitary by projecting onto environment basis states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
+from .errors import MAX_RECORDED_VIOLATIONS, violations_to_json
 from .hilbert import (DimensionMismatchError, Operator, ProductSpace,
                       StateVector)
 
 DEFAULT_KL_TOL = 1e-10
 _ORTHO_TOL = 1e-9  # codewords orthonormal, and a joint unitary's columns too
-MAX_RECORDED_VIOLATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,8 @@ class CodeSpace:
         for w in words:
             if w.space.dim != dim:
                 raise DimensionMismatchError("codewords live on different spaces")
-        g = self.gram()
-        if np.max(np.abs(g - np.eye(len(words)))) > _ORTHO_TOL:
+        m = np.column_stack([w.amplitudes for w in words])
+        if np.max(np.abs(m.conj().T @ m - np.eye(len(words)))) > _ORTHO_TOL:
             raise ValueError("codewords are not orthonormal within 1e-9")
         object.__setattr__(self, "codewords", words)
 
@@ -56,10 +56,6 @@ class CodeSpace:
     def matrix(self) -> np.ndarray:
         """Codewords as columns, dim x K."""
         return np.column_stack([w.amplitudes for w in self.codewords])
-
-    def gram(self) -> np.ndarray:
-        m = np.column_stack([w.amplitudes for w in self.codewords])
-        return m.conj().T @ m
 
 
 @dataclass(frozen=True)
@@ -105,13 +101,6 @@ class KLReport:
             "tol": self.tol,
             "violations": violations_to_json(self.violations),
         }
-
-
-def violations_to_json(violations) -> list[dict]:
-    """Recorded (a, b, i, j, deviation) entries as report JSON objects."""
-    return [{"a": a, "b": b, "i": i, "j": j,
-             "deviation_re": dev.real, "deviation_im": dev.imag}
-            for (a, b, i, j, dev) in violations]
 
 
 def report_from_elements(m: np.ndarray, tol: float) -> KLReport:
@@ -205,7 +194,6 @@ def kl_check_from_applied(rows: np.ndarray, tol: float = DEFAULT_KL_TOL) -> KLRe
 class SectorCheckResult:
     respects_ssr: bool
     worst_element: float
-    worst_location: Optional[tuple[int, int, int, int, int]]  # (op, sec_i, vec_i, sec_j, vec_j)
 
 
 def ssr_sector_check(sectors: Sequence[CodeSpace], local_ops: ErrorSet,
@@ -222,20 +210,15 @@ def ssr_sector_check(sectors: Sequence[CodeSpace], local_ops: ErrorSet,
         if s.space.dim != dim:
             raise DimensionMismatchError("sectors on different spaces")
     worst = 0.0
-    worst_loc = None
     mats = [s.matrix() for s in sectors]
-    for a, op in enumerate(local_ops.operators):
+    for op in local_ops.operators:
         applied = [op.matrix @ m for m in mats]
         for si in range(len(sectors)):
             for sj in range(len(sectors)):
-                if si == sj:
-                    continue
-                block = np.abs(mats[si].conj().T @ applied[sj])
-                vi, vj = np.unravel_index(np.argmax(block), block.shape)
-                if block[vi, vj] > worst:
-                    worst = float(block[vi, vj])
-                    worst_loc = (a, si, int(vi), sj, int(vj))
-    return SectorCheckResult(worst <= tol, worst, worst_loc)
+                if si != sj:
+                    block = mats[si].conj().T @ applied[sj]
+                    worst = max(worst, float(np.abs(block).max()))
+    return SectorCheckResult(worst <= tol, worst)
 
 
 def kraus_extract(u: Operator, env_state: StateVector,

@@ -9,18 +9,21 @@ states are ``ChargeState`` lists of those amplitudes and their charges, and
 the recovery is one sorted pass over them that returns every outcome's
 probability and logical pair as arrays.  The
 ``m_inv`` construction simulates SSR-violating operators with a discrete
-reference register of phase states.
+reference register of phase states.  Only the dense objects
+(``RotorSpace.product_space``, ``ChargeState.dense`` and ``m_inv``) load
+``hilbert``, when they are called.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
 import numpy as np
 
-from .hilbert import Operator, ProductSpace, StateVector
+if TYPE_CHECKING:
+    from .hilbert import Operator, ProductSpace, StateVector
 
 PROB_FLOOR = 1e-15
 LOGICAL_AMP = 1 / math.sqrt(2)  # alpha = beta of every rotor logical state
@@ -46,8 +49,9 @@ class RotorSpace:
             raise ValueError(f"charge {q} outside truncation |q| <= {self.q_max}")
         return q + self.q_max
 
-    def product_space(self, label: str = "rotor") -> ProductSpace:
-        return ProductSpace((self.dim,), (label,))
+    def product_space(self) -> ProductSpace:
+        from .hilbert import ProductSpace
+        return ProductSpace((self.dim,))
 
 
 @dataclass(frozen=True)
@@ -67,15 +71,15 @@ class ChargeState:
     are distinct.  The last two registers are A and B; any before them (such
     as a reference register R) are spectators."""
 
-    __slots__ = ("charges", "amplitudes", "spaces", "labels")
+    __slots__ = ("charges", "amplitudes", "spaces")
 
-    def __init__(self, charges: np.ndarray, amplitudes: np.ndarray, spaces, labels):
-        self.charges, self.amplitudes, self.spaces, self.labels = (
-            charges, amplitudes, tuple(spaces), tuple(labels))
+    def __init__(self, charges: np.ndarray, amplitudes: np.ndarray, spaces):
+        self.charges, self.amplitudes, self.spaces = charges, amplitudes, tuple(spaces)
 
     def dense(self) -> StateVector:
         """The ``StateVector`` on the product of the register spaces."""
-        space = ProductSpace(tuple(s.dim for s in self.spaces), self.labels)
+        from .hilbert import ProductSpace, StateVector
+        space = ProductSpace(tuple(s.dim for s in self.spaces))
         index = self.charges + [s.q_max for s in self.spaces]
         amps = np.zeros(space.dim, dtype=np.complex128)
         amps[np.ravel_multi_index(index.T, space.factor_dims)] = self.amplitudes
@@ -92,7 +96,7 @@ class ChargeState:
         new = np.ones(len(amps), dtype=bool)
         new[1:] = (charges[1:] != charges[:-1]).any(axis=1)  # a repeat: one per state
         return ChargeState(charges[new], np.add.reduceat(amps, np.flatnonzero(new)),
-                           self.spaces, self.labels)
+                           self.spaces)
 
 
 def _profile_coeffs(profile: str, window: int, sigma: Optional[float]) -> np.ndarray:
@@ -122,7 +126,7 @@ def build_codeword(space_a: RotorSpace, space_b: RotorSpace, q: int,
     coeffs = _profile_coeffs(profile, window, sigma)
     q_tilde = np.arange(-window, window + 1)
     return ChargeState(np.stack((q - q_tilde, q_tilde), axis=1), coeffs,
-                       (space_a, space_b), ("A", "B"))
+                       (space_a, space_b))
 
 
 def apply_phase_flip(psi: ChargeState, q: int, side: str) -> ChargeState:
@@ -132,7 +136,7 @@ def apply_phase_flip(psi: ChargeState, q: int, side: str) -> ChargeState:
     col = -2 if side == "A" else -1
     psi.spaces[col].index(q)  # ValueError outside the truncation
     amps = np.where(psi.charges[:, col] == q, -psi.amplitudes, psi.amplitudes)
-    return ChargeState(psi.charges, amps, psi.spaces, psi.labels)
+    return ChargeState(psi.charges, amps, psi.spaces)
 
 
 def _run_starts(keys: np.ndarray) -> np.ndarray:
@@ -256,8 +260,8 @@ def m_inv(m_op: Operator, disc: GroupDiscretization) -> Operator:
     for c in np.unique(cls):
         idx = np.flatnonzero(cls == c)
         out[np.ix_(idx, idx)] = m[np.ix_(s_of[idx], s_of[idx])]
-    joint = space.product_space("R").tensor(space.product_space("S"))
-    return Operator(joint, out)
+    from .hilbert import Operator, ProductSpace
+    return Operator(ProductSpace((d, d)), out)
 
 
 def prepare_simulated_superposition(alphas: Mapping[int, complex],
@@ -277,6 +281,5 @@ def prepare_simulated_superposition(alphas: Mapping[int, complex],
         word = build_codeword(space, space, q, profile, window)
         charges.append(np.column_stack((np.full(len(word.charges), -q), word.charges)))
         amps.append(a_q * word.amplitudes)
-    return ChargeState(np.concatenate(charges), np.concatenate(amps),
-                       (space,) * 3, ("R", "A", "B"))
+    return ChargeState(np.concatenate(charges), np.concatenate(amps), (space,) * 3)
 

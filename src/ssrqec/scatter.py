@@ -360,7 +360,6 @@ class CrossSectionResult:
 
     sigma: float           # MeV^-2
     above_threshold: bool
-    e_cm: float
 
     def __post_init__(self):
         _require_zero_below(self.sigma, self.above_threshold)
@@ -421,9 +420,9 @@ def sigma_tot(e_cm: float, masses: tuple[float, float, float, float],
     above, prefactor, nodes, weights = _quadrature(np.array([e_cm], dtype=float),
                                                    masses, n_theta)
     if not above[0]:
-        return CrossSectionResult(0.0, False, e_cm)
+        return CrossSectionResult(0.0, False)
     integral = _weighted_sum(weights, [amp2(float(x)) for x in nodes])
-    return CrossSectionResult(float(prefactor[0] * integral), True, e_cm)
+    return CrossSectionResult(float(prefactor[0] * integral), True)
 
 
 def sigma_tot_grid(e_values, masses: tuple[float, float, float, float],

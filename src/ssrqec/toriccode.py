@@ -31,13 +31,15 @@ acts as w^a and the x-winding magnetic loop as w^b, with w = e^{2 pi i / N}.
 
 The dense state-vector code (``ground_space``, ``sector_basis``,
 ``apply_pauli``, ``kl_check_paulis``) applies the same rows to explicit
-states and stays as the test oracle for small lattices.  ``apply_pauli``
-reads a state as the (N,) * n_edges tensor of its basis digits: a Pauli is
-one broadcast phase and one roll per X edge.  ``ground_space`` and
-``kl_check_paulis`` refuse before they allocate when the closed form of
-the bytes they hold (``ground_space_bytes``, ``kl_check_paulis_bytes``)
-exceeds the same budget; ``sector_basis`` checks the basis that
-``ground_space`` builds in closed form instead of diagonalising.
+states and stays as the test oracle for small lattices; only its KL check
+loads ``klcore`` (and through it ``hilbert``), when it is called.
+``apply_pauli`` reads a state as the (N,) * n_edges tensor of its basis
+digits: a Pauli is one broadcast phase and one roll per X edge.
+``ground_space`` and ``kl_check_paulis`` refuse before they allocate when
+the closed form of the bytes they hold (``ground_space_bytes``,
+``kl_check_paulis_bytes``) exceeds the same budget; ``sector_basis``
+checks the basis that ``ground_space`` builds in closed form instead of
+diagonalising.
 
 Edge orientation convention: horizontal edges point +x, vertical +y; edge
 (h, x, y) has index y l + x and edge (v, x, y) index l^2 + y l + x.
@@ -51,14 +53,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 import numpy as np
 
-from . import klcore
 from ._rowkeys import class_ids
-from .errors import GuardExceededError, check_budget
-from .klcore import KLReport
+from .errors import (MAX_RECORDED_VIOLATIONS, GuardExceededError, check_budget,
+                     violations_to_json)
+
+if TYPE_CHECKING:
+    from .klcore import KLReport
 
 KL_TOL = 1e-9  # the dense check's tolerance; the symbolic check's default
 MAX_ENUM_WEIGHT = 2
@@ -195,8 +199,7 @@ class GroundSpace:
     """Orthonormal basis of the joint +1 eigenspace of all stabilizers."""
 
     lattice: TorusLattice
-    basis: np.ndarray                                   # dim x N^2, columns
-    sector_labels: Optional[tuple[tuple[int, int], ...]] = None
+    basis: np.ndarray                       # dim x N^2, columns a N + b
 
     @property
     def dimension(self) -> int:
@@ -220,12 +223,11 @@ def ground_space(lat: TorusLattice) -> GroundSpace:
     orbit = (coeffs @ gens) % n                         # N^(l^2) distinct x vectors
     vacuum = np.zeros(lat.dim, dtype=np.complex128)
     vacuum[orbit @ n ** np.arange(m - 1, -1, -1)] = n ** (-l2 / 2)
-    labels = sector_labels(lat)
     basis = np.column_stack([
         apply_pauli(lat, wilson_loop(lat, "y", a, "magnetic")
                     + wilson_loop(lat, "y", -b, "electric"), 0, vacuum)
-        for a, b in labels])
-    return GroundSpace(lat, basis, labels)
+        for a, b in sector_labels(lat)])
+    return GroundSpace(lat, basis)
 
 
 def ground_space_bytes(lat: TorusLattice) -> int:
@@ -294,14 +296,14 @@ def sector_basis(gs: GroundSpace) -> GroundSpace:
     The electric and magnetic loops winding in x act within the ground
     space and commute (disjoint supports); their joint eigenvalues
     (w^a, w^b) label the N^2 sectors exactly once.  ``ground_space`` builds
-    that basis in closed form, so nothing is diagonalised: the columns must
-    be orthonormal, labelled by ``sector_labels``, and column a N + b must
+    that basis in closed form, so nothing is diagonalised: the N^2 columns
+    must be orthonormal, and column a N + b (``sector_labels`` order) must
     be the (w^a, w^b) eigenvector.  Any other basis is an invariant breach
     and raises RuntimeError.
     """
     lat, b = gs.lattice, gs.basis
     n = lat.n
-    if gs.sector_labels != sector_labels(lat) or gs.dimension != n * n \
+    if gs.dimension != n * n \
             or not np.allclose(b.conj().T @ b, np.eye(n * n), rtol=0, atol=1e-9):
         raise RuntimeError("the basis is not N^2 orthonormal columns labelled a N + b")
     charges = np.divmod(np.arange(n * n), n)
@@ -384,6 +386,7 @@ def enumeration_bytes(lat: TorusLattice, max_weight: int) -> int:
 
 def kl_check_paulis(gs: GroundSpace, errors: PauliArray) -> KLReport:
     """Dense KL check, at KL_TOL, of a Pauli error set against a ground-space basis."""
+    from . import klcore
     lat, b = gs.lattice, gs.basis
     _require_on(lat, errors)
     check_budget(kl_check_paulis_bytes(lat, len(errors)), "the dense KL check")
@@ -398,6 +401,7 @@ def kl_check_paulis_bytes(lat: TorusLattice, n_errors: int) -> int:
     form: what the dense kernel holds (``klcore.dense_kl_bytes``) plus the
     copies ``apply_pauli`` makes of the K = N^2 basis columns of dimension D
     (two at a time, and its phase tables)."""
+    from . import klcore
     k = lat.n ** 2
     return klcore.dense_kl_bytes(n_errors, k, lat.dim) + 48 * lat.dim * k
 
@@ -419,7 +423,7 @@ class SyndromeKLReport:
                               "im": c.imag.tolist()} for e, c in self.c_blocks],
                 "max_violation": self.max_violation, "verdict": self.verdict,
                 "tol": self.tol,
-                "violations": klcore.violations_to_json(self.violations)}
+                "violations": violations_to_json(self.violations)}
 
 
 def kl_check_errors(lat: TorusLattice, errors: PauliArray,
@@ -451,7 +455,6 @@ def kl_check_errors(lat: TorusLattice, errors: PauliArray,
     members = np.argsort(cls, kind="stable")    # grouped by class, ascending
     sizes = np.bincount(cls)
     start = np.cumsum(sizes) - sizes
-    roots = np.exp(1j * np.pi * np.arange(2 * n) / n)
     # the C blocks, row-major and back to back, KL_PAIR_CHUNK pairs at a time
     offset = np.cumsum(sizes ** 2) - sizes ** 2
     c = np.empty(int(sizes @ sizes), dtype=np.complex128)
@@ -460,7 +463,8 @@ def kl_check_errors(lat: TorusLattice, errors: PauliArray,
         cl = np.searchsorted(offset, o, side="right") - 1
         i, j = np.divmod(o - offset[cl], sizes[cl])
         a, b = members[start[cl] + i], members[start[cl] + j]
-        c[o] = np.where(code[a] == code[b], roots[pair_phases(errors, a, b)], 0)
+        roots = np.exp(1j * np.pi * pair_phases(errors, a, b) / n)
+        c[o] = np.where(code[a] == code[b], roots, 0)
     c_blocks = tuple((members[s:s + e], c[o:o + e * e].reshape(e, e)) for s, e, o
                      in zip(start.tolist(), sizes.tolist(), offset.tolist()))
 
@@ -468,7 +472,7 @@ def kl_check_errors(lat: TorusLattice, errors: PauliArray,
     mixed = np.minimum.reduceat(grouped, start) != np.maximum.reduceat(grouped, start)
     max_violation = 1.0 if mixed.any() else 0.0
     # the first violating pairs in (a, b) order, enough to fill the record
-    need = -(-klcore.MAX_RECORDED_VIOLATIONS // k) if max_violation > tol else 0
+    need = -(-MAX_RECORDED_VIOLATIONS // k) if max_violation > tol else 0
     pairs = []
     for anchor in np.flatnonzero(mixed[cls])[:need]:
         first = start[cls[anchor]]
@@ -476,14 +480,15 @@ def kl_check_errors(lat: TorusLattice, errors: PauliArray,
         pairs += [(anchor, b) for b in group[code[group] != code[anchor]]]
     a, b = np.array(pairs[:need], dtype=np.intp).reshape(-1, 2).T
     gamma, delta, alpha, beta = ((logical[a] - logical[b]) % n).T[:, :, None]
-    s, t = np.divmod(np.arange(min(k, klcore.MAX_RECORDED_VIOLATIONS)), n)
+    s, t = np.divmod(np.arange(min(k, MAX_RECORDED_VIOLATIONS)), n)
     expo = (pair_phases(errors, a, b)[:, None]
             + 2 * (gamma * s + beta * (t - delta))) % (2 * n)
     target = ((s + alpha) % n) * n + (t - delta) % n
-    violations = [(int(a[p]), int(b[p]), i, int(target[p, i]), complex(roots[expo[p, i]]))
+    roots = np.exp(1j * np.pi * expo / n)
+    violations = [(int(a[p]), int(b[p]), i, int(target[p, i]), complex(roots[p, i]))
                   for p in range(len(a)) for i in range(len(s))]
     return SyndromeKLReport(len(errors), c_blocks, max_violation,
-                            tuple(violations[:klcore.MAX_RECORDED_VIOLATIONS]),
+                            tuple(violations[:MAX_RECORDED_VIOLATIONS]),
                             max_violation <= tol, tol)
 
 

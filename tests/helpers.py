@@ -61,7 +61,7 @@ def total_charge_operator(space: RotorSpace, n_registers: int) -> Operator:
     """Sum of single-register charge operators on n copies of the rotor."""
     qs = np.arange(-space.q_max, space.q_max + 1, dtype=float)
     total = sum(np.ix_(*([qs] * n_registers)))  # q_1 + ... + q_n on the index grid
-    joint = ProductSpace((space.dim,) * n_registers, ("rotor",) * n_registers)
+    joint = ProductSpace((space.dim,) * n_registers)
     return Operator(joint, np.diag(total.reshape(-1)).astype(np.complex128))
 
 
@@ -128,8 +128,7 @@ def from_dense(psi: StateVector) -> ChargeState:
     spaces = tuple(RotorSpace((d - 1) // 2) for d in psi.space.factor_dims)
     idx = np.flatnonzero(psi.amplitudes)
     charges = np.stack(np.unravel_index(idx, psi.space.factor_dims), axis=1)
-    return ChargeState(charges - [s.q_max for s in spaces], psi.amplitudes[idx],
-                       spaces, psi.space.labels)
+    return ChargeState(charges - [s.q_max for s in spaces], psi.amplitudes[idx], spaces)
 
 
 def phase_flip(space: RotorSpace, q: int) -> Operator:
@@ -152,7 +151,7 @@ def build_codeword(space_a: RotorSpace, space_b: RotorSpace, q: int,
         raise ValueError(
             f"window {window} with logical charge {q} overflows the truncation")
     coeffs = _profile_coeffs(profile, window, sigma)
-    joint = space_a.product_space("A").tensor(space_b.product_space("B"))
+    joint = space_a.product_space().tensor(space_b.product_space())
     amps = np.zeros(joint.dim, dtype=np.complex128)
     db = space_b.dim
     for k, q_tilde in enumerate(range(-window, window + 1)):
@@ -265,7 +264,7 @@ def prepare_simulated_superposition(alphas: Mapping[int, complex],
             ia = space.index(q - q_tilde)
             ib = space.index(q_tilde)
             amps[(ir * d + ia) * d + ib] += a_q * coeffs[k]
-    joint = ProductSpace((d, d, d), ("R", "A", "B"))
+    joint = ProductSpace((d, d, d))
     return StateVector(joint, amps)
 
 
@@ -321,8 +320,7 @@ def to_pn_state_vector(state: RepetitionState) -> StateVector:
     for axis in range(state.n):
         t = np.tensordot(h, t, axes=([1], [axis]))
         t = np.moveaxis(t, 0, axis)
-    space = ProductSpace((2,) * state.n,
-                         tuple(f"nucleon{i}" for i in range(state.n)))
+    space = ProductSpace((2,) * state.n)
     return StateVector(space, t.reshape(-1))
 
 

@@ -642,11 +642,11 @@ SMALL_CONFIGS = {
 DOMAIN_MODULES = {"hilbert", "klcore", "qcdcode", "rotor", "scatter", "toriccode"}
 CHAINS = {
     "kl-check": {"klcore", "hilbert"},
-    "rotor": {"rotor", "hilbert"},
+    "rotor": {"rotor"},
     "qcd-rates": {"qcdcode"},
     "qcd-code": {"qcdcode"},
     "xsec": {"scatter"},
-    "toric": {"toriccode", "klcore", "hilbert"},
+    "toric": {"toriccode"},
 }
 
 
@@ -683,6 +683,34 @@ class TestLazyImports:
             "print(json.dumps(loaded()))\n")
         assert set(validated) <= CHAINS[name]
         assert set(ran) == CHAINS[name]
+
+    def test_library_chains_load_the_dense_layer_on_demand(self):
+        # the symbolic toric and rotor paths run without hilbert and klcore;
+        # the dense objects load them when called
+        symbolic, dense, m_inv, oracle = fresh_interpreter(
+            "import numpy as np\n"
+            "from ssrqec import rotor, toriccode as tc\n"
+            "lat = tc.TorusLattice(2, 2)\n"
+            "tc.kl_check_toric(lat, 1).to_json()\n"
+            "assert tc.ssr_exact_zero_check(lat)\n"
+            "space = rotor.RotorSpace(3)\n"
+            "w0, w1 = (rotor.build_codeword(space, space, q) for q in (0, 1))\n"
+            "psi = rotor.apply_phase_flip(w0.combine(0.6, w1, 0.8), 1, 'B')\n"
+            "assert len(rotor.enumerate_recovery(psi, (0, 1))[0])\n"
+            "print(json.dumps(loaded()))\n"
+            "assert psi.dense().space.factor_dims == (7, 7)\n"
+            "print(json.dumps(loaded()))\n"
+            "from ssrqec.hilbert import Operator\n"
+            "out = rotor.m_inv(Operator(space.product_space(), np.eye(7)),\n"
+            "                  rotor.GroupDiscretization(7))\n"
+            "print(json.dumps(out.space.factor_dims))\n"
+            "gs = tc.ground_space(lat)\n"
+            "tc.kl_check_paulis(gs, tc.enumerate_pauli_errors(lat, 1))\n"
+            "print(json.dumps(loaded()))\n")
+        assert symbolic == ["rotor", "toriccode"]
+        assert dense == ["hilbert", "rotor", "toriccode"]
+        assert m_inv == [7, 7]
+        assert oracle == ["hilbert", "klcore", "rotor", "toriccode"]
 
     def test_cli_does_not_load_jsonschema(self):
         # jsonschema is a test-only oracle, not a runtime dependency

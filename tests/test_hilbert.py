@@ -33,9 +33,8 @@ class TestProductSpace:
             ProductSpace((2, 0))
 
     def test_tensor_concatenates_factors(self):
-        s = ProductSpace((2,), ("a",)).tensor(ProductSpace((3,), ("b",)))
+        s = ProductSpace((2,)).tensor(ProductSpace((3,)))
         assert s.factor_dims == (2, 3)
-        assert s.labels == ("a", "b")
 
 
 class TestTensorProduct:

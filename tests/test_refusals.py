@@ -29,8 +29,6 @@ def _cases(table):
 
 
 HILBERT = {
-    "label count": (lambda: ProductSpace((2, 2), ("a",)), ValueError,
-                    "labels must match"),
     "vector length": (lambda: StateVector(SP2, [1.0, 0.0, 0.0]),
                       DimensionMismatchError, "amplitude length"),
     "normalize zero": (lambda: StateVector(SP2, [0.0, 0.0]).normalized(),

@@ -305,7 +305,7 @@ class TestClosedForms:
         m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         space = RotorSpace(q_max)
         out = m_inv(Operator(space.product_space(), m), GroupDiscretization(n_g))
-        assert out.space == ProductSpace((d, d), ("R", "S"))
+        assert out.space == ProductSpace((d, d))
         np.testing.assert_allclose(out.dense(), m_inv_group_average(m, n_g),
                                    rtol=0, atol=1e-12)
 
@@ -473,12 +473,12 @@ class TestChargeState:
                                      unique=True), label="charges")
         space = RotorSpace(q_max)
         psi = ChargeState(np.array(rows), c * np.array(phases, dtype=complex),
-                          (space,) * 3, ("R", "A", "B"))
+                          (space,) * 3)
         assert_recovery_matches_dense(psi, tuple(charges))
 
     def test_zero_state_rejected(self):
         space = RotorSpace(2)
         empty = ChargeState(np.zeros((0, 2), dtype=np.int64), np.zeros(0, complex),
-                            (space, space), ("A", "B"))
+                            (space, space))
         with pytest.raises(ValueError):
             enumerate_recovery(empty, (0, 1))

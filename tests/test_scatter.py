@@ -248,7 +248,7 @@ class TestCrossSection:
 
     def test_result_invariant_enforced(self):
         with pytest.raises(ValueError):
-            CrossSectionResult(sigma=1.0, above_threshold=False, e_cm=900.0)
+            CrossSectionResult(sigma=1.0, above_threshold=False)
 
     def test_full_pipeline_positive_sigma(self):
         amp2 = make_amp2(2200.0, MASSES, 1.0, 0.5, 2.0)

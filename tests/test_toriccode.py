@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ssrqec import toriccode
+from ssrqec import cli, toriccode
 from ssrqec._rowkeys import class_ids
 from ssrqec.klcore import (MAX_RECORDED_VIOLATIONS, CodeSpace, ErrorSet,
                            ssr_sector_check)
@@ -29,7 +29,7 @@ from toric_oracles import (QuditPauli, _rank_mod_p, apply_by_permutation,
                            kl_elements, logical_mask, loop_by_edge,
                            oracle_report, pauli_adjoint, pauli_array,
                            pauli_dense, pauli_identity, pauli_list, pauli_mul,
-                           single_qudit_pauli, ssr_certificate,
+                           root_table_json, single_qudit_pauli, ssr_certificate,
                            stabilizer_paulis, stabilizers_by_vertex)
 
 LAT22 = TorusLattice(2, 2)   # l = 2, N = 2 (dim 2^8)
@@ -229,14 +229,15 @@ class TestSectorBasis:
     @pytest.mark.parametrize("lat", [LAT22, LAT23])
     def test_labels_exhaust_all_sectors(self, lat):
         sb = sector_basis(ground_space(lat))
-        assert sorted(sb.sector_labels) == [(a, b) for a in range(lat.n)
-                                            for b in range(lat.n)]
+        assert sb.dimension == len(sector_labels(lat))
+        assert sorted(sector_labels(lat)) == [(a, b) for a in range(lat.n)
+                                              for b in range(lat.n)]
 
     def test_sector_states_are_loop_eigenvectors(self):
         sb = sector_basis(ground_space(LAT23))
         we = wilson_loop(LAT23, "x", 1, "electric")
         wm = wilson_loop(LAT23, "x", 1, "magnetic")
-        for idx, (a, b) in enumerate(sb.sector_labels):
+        for idx, (a, b) in enumerate(sector_labels(LAT23)):
             v = sb.basis[:, idx]
             np.testing.assert_allclose(apply_pauli(LAT23, we, 0, v),
                                        np.exp(2j * np.pi * a / 3) * v,
@@ -265,7 +266,7 @@ class TestSectorBasis:
             basis[:, 1] = (gs.basis[:, 1] + gs.basis[:, 2]) / np.sqrt(2)
             basis[:, 2] = (gs.basis[:, 1] - gs.basis[:, 2]) / np.sqrt(2)
         with pytest.raises(RuntimeError):
-            sector_basis(GroundSpace(lat, basis, gs.sector_labels))
+            sector_basis(GroundSpace(lat, basis))
 
     def test_sector_basis_still_stabilized(self):
         sb = sector_basis(ground_space(LAT22))
@@ -617,6 +618,36 @@ class TestSyndromeClassKl:
             [(0, 1, i) for i in range(MAX_RECORDED_VIOLATIONS * with_loop)]
         assert all(abs(abs(v[4]) - 1) < 1e-12 for v in report.violations)
 
+    @pytest.mark.parametrize("second", ["x0", "loop"])
+    def test_large_n_holds_no_root_table(self, second):
+        # the roots are computed for the phases that occur: a table of all
+        # 2N of them would take 128 MiB at N = 2^22
+        lat = TorusLattice(2, 2 ** 22)
+        xz = np.zeros((2, 2 * lat.n_edges), dtype=np.int64)
+        if second == "x0":
+            xz[1, 0] = 1
+        else:
+            xz[1] = wilson_loop(lat, "x", 1, "magnetic")
+        errors = PauliArray(xz, np.zeros(2, dtype=np.int64), lat.n)
+        tracemalloc.start()
+        try:
+            report = kl_check_errors(lat, errors)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert report.satisfied is (second == "x0")
+        assert len(report.violations) == (second == "loop") * MAX_RECORDED_VIOLATIONS
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 257, 1021, 4096, 65537])
+    def test_roots_match_root_table(self, n):
+        lat = TorusLattice(2, n)
+        errors = loaded_errors(lat, np.random.default_rng(n), count=40)
+        report = kl_check_errors(lat, errors)
+        assert report.violations and any(len(e) > 1 for e, _ in report.c_blocks)
+        assert cli._json_bytes(report.to_json()) == \
+            cli._json_bytes(root_table_json(lat, errors, report))
+
     def test_loose_tolerance_records_nothing(self):
         report = kl_check_toric(LAT22, 1, tol=1.0)
         assert report.satisfied and report.max_violation == 1.0
@@ -640,8 +671,7 @@ class TestCosetBasis:
         # |a, b> = M_y^a E_y^-b |0, 0>: x-loops diagonal, y-loops shift
         gs = ground_space(lat)
         n = lat.n
-        assert gs.sector_labels == sector_labels(lat)
-        col = {ab: gs.basis[:, i] for i, ab in enumerate(gs.sector_labels)}
+        col = {ab: gs.basis[:, i] for i, ab in enumerate(sector_labels(lat))}
         w = np.exp(2j * np.pi / n)
         for (a, b), v in col.items():
             np.testing.assert_allclose(

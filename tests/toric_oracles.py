@@ -20,7 +20,9 @@ Pauli through it and ``pauli_dense`` builds a Pauli's dense matrix from it.
 an error set on the sector basis into one (E, E, N^2, N^2) array;
 ``klcore.report_from_elements`` then reads the verdict, C and deviations
 off it.  The syndrome-class check ``toriccode.kl_check_errors`` must agree
-with this path.  ``ssr_certificate`` decides stabilizer membership by rank
+with this path, and ``root_table_json`` is its report with every root
+read from a table of all 2N roots, the reference for the roots it computes
+per phase.  ``ssr_certificate`` decides stabilizer membership by rank
 over GF(N), and ``logical_mask`` marks logical operators row by row, the
 enumeration oracle for ``toriccode.ssr_exact_zero_check``.
 """
@@ -364,3 +366,25 @@ def dense_c(report) -> np.ndarray:
     for errors, block in report.c_blocks:
         c[np.ix_(errors, errors)] = block
     return c
+
+
+def root_table_json(lat: TorusLattice, errors: PauliArray, report) -> dict:
+    """``report.to_json()`` of a ``kl_check_errors`` report on ``errors``,
+    with each C entry and recorded deviation read from the table of the 2N
+    roots e^{i pi k / N} at its phase k mod 2N."""
+    n = lat.n
+    table = np.exp(1j * np.pi * np.arange(2 * n) / n)
+    logical = commutation_exponents(errors.xz, _logical_probes(lat), n)
+    out = report.to_json()
+    for block, (members, _) in zip(out["c_blocks"], report.c_blocks):
+        a, b = np.meshgrid(members, members, indexing="ij")
+        same = (logical[a] == logical[b]).all(axis=-1)
+        c = np.where(same, table[pair_phases(errors, a, b)], 0)
+        block["re"], block["im"] = c.real.tolist(), c.imag.tolist()
+    for v in out["violations"]:
+        gamma, delta, alpha, beta = (logical[v["a"]] - logical[v["b"]]) % n
+        s, t = divmod(v["i"], n)
+        k = (pair_phases(errors, v["a"], v["b"])
+             + 2 * (gamma * s + beta * (t - delta))) % (2 * n)
+        v["deviation_re"], v["deviation_im"] = float(table[k].real), float(table[k].imag)
+    return out
